@@ -1,196 +1,85 @@
 package profam_test
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
-	"profam"
 	"profam/internal/metrics"
 )
 
-// stripAlignCost removes the DP-cost series that legitimately differ
-// between the cascade and the exact-align escape hatch: the cascade
-// computes fewer cells (pace_align_cells, bgg_align_cells) and exports
-// its own stage counters (pace_cascade_*). Everything else — pair
-// counts, verdicts, batch shapes, queue depths — must be byte-identical.
-func stripAlignCost(rep *metrics.Report) {
-	drop := func(m map[string]int64) {
-		for k := range m {
-			if strings.HasPrefix(k, "pace_align_cells") ||
-				strings.HasPrefix(k, "pace_cascade_") ||
-				strings.HasPrefix(k, "pace_kernel_") ||
-				strings.HasPrefix(k, "bgg_align_cells") {
-				delete(m, k)
-			}
+// counterSum adds every counter whose name starts with prefix.
+func counterSum(rep *metrics.Report, prefix string) int64 {
+	var n int64
+	for name, v := range rep.Counters {
+		if strings.HasPrefix(name, prefix) {
+			n += v
 		}
 	}
-	drop(rep.Counters)
-	for i := range rep.Ranks {
-		drop(rep.Ranks[i].Counters)
-	}
+	return n
 }
 
-func canonicalJSON(t *testing.T, rep *metrics.Report) string {
-	t.Helper()
-	c := rep.Canonical()
-	stripAlignCost(c)
-	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
-// TestCascadeDeterminism: with the cascade on (default) and off
-// (-exact-align), the pipeline must produce byte-identical families and
-// canonical metrics — modulo the DP-cost series above — under the
-// simulator at 1 and 4 ranks. This is the cascade's contract: it only
-// changes how much of each DP matrix is computed, never a verdict.
-//
-// The metric comparison runs the lockstep protocol: metric identity
-// between two runs that charge different virtual compute (cascade vs
-// exact DP) requires a content-deterministic master service order,
-// and the default arrival-order protocol deliberately lets the order
-// follow (virtual) completion times at p > 2. The family/keep/component
-// identity is additionally asserted under the default overlapped
-// protocol — verdicts must not depend on the protocol either.
+// TestCascadeDeterminism: under the simulator at 1 and 4 ranks, the
+// pipeline must reproduce the families, keep mask and components the
+// full-DP predicates produced (integrationDigest), and every aligned
+// pair of RR and CCD must have been decided by a cascade stage on an
+// attributed kernel. Per-pair verdict equality with the full-DP and
+// scalar-kernel references is TestCascadeVerdictsMatchReference in
+// internal/pace; this is its end-to-end counterpart.
 func TestCascadeDeterminism(t *testing.T) {
-	set, _ := integrationSet()
-	base := profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3, Lockstep: true}
 	for _, p := range []int{1, 4} {
 		t.Run(fmt.Sprintf("ranks=%d", p), func(t *testing.T) {
-			exact := base
-			exact.ExactAlign = true
-			resC, _, err := profam.RunSet(set, p, true, base)
-			if err != nil {
-				t.Fatal(err)
+			res := integrationRun(t, p, 1)
+			if d := resultDigest(res); d != integrationDigest {
+				t.Fatalf("result digest %s, want the full-DP reference %s", d, integrationDigest)
 			}
-			resE, _, err := profam.RunSet(set, p, true, exact)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(resC.Families) != fmt.Sprint(resE.Families) {
-				t.Fatal("cascade changed the families")
-			}
-			if fmt.Sprint(resC.Keep) != fmt.Sprint(resE.Keep) {
-				t.Fatal("cascade changed the redundancy-removal keep mask")
-			}
-			if fmt.Sprint(resC.Components) != fmt.Sprint(resE.Components) {
-				t.Fatal("cascade changed the connected components")
-			}
-			jc := canonicalJSON(t, resC.Metrics)
-			je := canonicalJSON(t, resE.Metrics)
-			if jc != je {
-				t.Errorf("canonical metrics differ between cascade and exact-align:\ncascade:\n%s\nexact:\n%s", jc, je)
-			}
-
-			// Same family-level contract under the overlapped protocol.
-			overlapped := base
-			overlapped.Lockstep = false
-			exactO := exact
-			exactO.Lockstep = false
-			resCO, _, err := profam.RunSet(set, p, true, overlapped)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resEO, _, err := profam.RunSet(set, p, true, exactO)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(resCO.Families) != fmt.Sprint(resEO.Families) {
-				t.Fatal("cascade changed the families under the overlapped protocol")
-			}
-			if fmt.Sprint(resCO.Families) != fmt.Sprint(resC.Families) {
-				t.Fatal("overlapped protocol changed the families")
+			for _, phase := range []string{"rr", "ccd"} {
+				aligned := res.Metrics.CounterValue("pace_pairs_aligned{phase=" + phase + "}")
+				staged := counterSum(res.Metrics, "pace_cascade_pairs{phase="+phase+",")
+				kernels := counterSum(res.Metrics, "pace_kernel_pairs{phase="+phase+",")
+				if aligned == 0 || staged != aligned || kernels != aligned {
+					t.Errorf("%s: %d pairs aligned, %d attributed to a cascade stage, %d to a kernel",
+						phase, aligned, staged, kernels)
+				}
 			}
 		})
 	}
 }
 
 // TestCascadeCellsReduction: on the integration corpus the cascade must
-// eliminate at least 3× of the alignment DP cells and improve the
-// virtual makespan. The numbers logged here are the ones quoted in
-// CHANGES.md.
+// eliminate at least 3× of the alignment DP cells, measured against
+// pace_cascade_cells_full — what the full-matrix predicates would have
+// computed for the same pairs. The numbers logged here are the ones
+// quoted in CHANGES.md.
 func TestCascadeCellsReduction(t *testing.T) {
-	set, _ := integrationSet()
-	cfg := profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3}
-	exact := cfg
-	exact.ExactAlign = true
-	resC, spanC, err := profam.RunSet(set, 1, true, cfg)
-	if err != nil {
-		t.Fatal(err)
+	res := integrationRun(t, 1, 1)
+	cells := res.RR.Cells + res.CCD.Cells
+	full := counterSum(res.Metrics, "pace_cascade_cells_full{")
+	if cells == 0 || full == 0 {
+		t.Fatalf("no cells recorded: cascade=%d full=%d", cells, full)
 	}
-	resE, spanE, err := profam.RunSet(set, 1, true, exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cellsC := resC.RR.Cells + resC.CCD.Cells
-	cellsE := resE.RR.Cells + resE.CCD.Cells
-	if cellsC == 0 || cellsE == 0 {
-		t.Fatalf("no cells recorded: cascade=%d exact=%d", cellsC, cellsE)
-	}
-	ratio := float64(cellsE) / float64(cellsC)
-	t.Logf("pace_align_cells: exact=%d cascade=%d (%.1fx reduction); makespan exact=%.3fs cascade=%.3fs",
-		cellsE, cellsC, ratio, spanE, spanC)
+	ratio := float64(full) / float64(cells)
+	t.Logf("pace_align_cells: full-matrix=%d cascade=%d (%.1fx reduction)", full, cells, ratio)
 	if ratio < 3 {
 		t.Errorf("cascade eliminates only %.2fx of DP cells, want >= 3x", ratio)
 	}
-	if spanC >= spanE {
-		t.Errorf("virtual makespan did not improve: cascade %.4fs vs exact %.4fs", spanC, spanE)
-	}
 }
 
-// TestKernelDeterminism: the word-parallel kernels (-kernels=auto, the
-// default) must produce byte-identical families, keep masks, components
-// and canonical metrics to -kernels=scalar and to -exact-align, across
-// rank counts and thread counts. This is the kernel layer's contract:
-// the bit-parallel and striped stages only take certified shortcuts
-// inside the cascade, so nothing downstream can tell which kernel ran.
+// TestKernelDeterminism: with the word-parallel kernels deciding part of
+// the pairs, the pipeline must reproduce the families, keep mask and
+// components the int32 scalar kernels produced (integrationDigest),
+// across rank and thread counts. Per-pair verdict equality with the
+// scalar kernels is TestCascadeVerdictsMatchReference in internal/pace.
 func TestKernelDeterminism(t *testing.T) {
-	set, _ := integrationSet()
-	base := profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3, Lockstep: true}
 	for _, p := range []int{1, 2, 4} {
 		for _, threads := range []int{1, 4} {
 			t.Run(fmt.Sprintf("ranks=%d/threads=%d", p, threads), func(t *testing.T) {
-				auto := base
-				auto.ThreadsPerRank = threads
-				scalar := auto
-				scalar.ScalarKernels = true
-				exact := auto
-				exact.ExactAlign = true
-
-				resA, _, err := profam.RunSet(set, p, true, auto)
-				if err != nil {
-					t.Fatal(err)
+				res := integrationRun(t, p, threads)
+				if d := resultDigest(res); d != integrationDigest {
+					t.Fatalf("result digest %s, want the scalar-kernel reference %s", d, integrationDigest)
 				}
-				resS, _, err := profam.RunSet(set, p, true, scalar)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resE, _, err := profam.RunSet(set, p, true, exact)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, ref := range []struct {
-					name string
-					res  *profam.Result
-				}{{"scalar", resS}, {"exact-align", resE}} {
-					if fmt.Sprint(resA.Families) != fmt.Sprint(ref.res.Families) {
-						t.Fatalf("kernels changed the families vs %s", ref.name)
-					}
-					if fmt.Sprint(resA.Keep) != fmt.Sprint(ref.res.Keep) {
-						t.Fatalf("kernels changed the keep mask vs %s", ref.name)
-					}
-					if fmt.Sprint(resA.Components) != fmt.Sprint(ref.res.Components) {
-						t.Fatalf("kernels changed the components vs %s", ref.name)
-					}
-				}
-				ja := canonicalJSON(t, resA.Metrics)
-				js := canonicalJSON(t, resS.Metrics)
-				if ja != js {
-					t.Errorf("canonical metrics differ between auto and scalar kernels:\nauto:\n%s\nscalar:\n%s", ja, js)
+				if res.Metrics.CounterValue("pace_kernel_pairs{phase=rr,kernel=bitvec}") == 0 {
+					t.Error("the bit-parallel kernel decided no RR pair")
 				}
 			})
 		}

@@ -54,27 +54,18 @@ type fileFormat struct {
 	// TraceOverheadRatio is traced/untraced ns/op on the threads=1
 	// pipeline kernel minus one — the fractional cost of event tracing.
 	TraceOverheadRatio float64 `json:"trace_overhead_ratio,omitempty"`
-	// SimOverlapSpeedup is the deterministic virtual-makespan ratio
-	// lockstep/overlapped on the 4-rank straggler-link simulation, and
-	// SimTaskWaitShare* are the corresponding worker task-wait shares —
-	// the protocol win the overlapped dataflow exists to deliver.
-	SimOverlapSpeedup        float64 `json:"sim_overlap_speedup,omitempty"`
-	SimTaskWaitShareLockstep float64 `json:"sim_task_wait_share_lockstep,omitempty"`
-	SimTaskWaitShareOverlap  float64 `json:"sim_task_wait_share_overlap,omitempty"`
-	// TCPWireBytesRatio is gob/binary worker→master bytes on realistic
-	// batch traffic over loopback TCP (work checksum, not timing).
-	TCPWireBytesRatio float64 `json:"tcp_wire_bytes_ratio,omitempty"`
 	// KernelSpeedup is scalar/striped ns/op on the local-score pair batch
 	// (AlignLocalScalar vs AlignStriped at threads=1) — the striped int16
 	// kernel's isolated win over the int32 scalar DP. CascadeKernelSpeedup
-	// is the same ratio on the full containment cascade (AlignCascadeScalar
-	// vs AlignCascade at threads=1), where the bit-parallel reject bound
-	// and profile reuse also contribute.
+	// is the same ratio on the full containment cascade (AlignCascadeScalar,
+	// the scalar reference kernels, vs AlignCascade at threads=1), where
+	// the bit-parallel reject bound and profile reuse also contribute.
 	KernelSpeedup        float64 `json:"kernel_speedup,omitempty"`
 	CascadeKernelSpeedup float64 `json:"cascade_kernel_speedup,omitempty"`
-	// SparsePeakBytesRatio is ESA/sparse peak index bytes on a large
-	// corpus (work checksum, not timing) — the memory win the sparse
-	// pair backend exists to deliver. The run fails if it is ≤ 1.
+	// SparsePeakBytesRatio is GST/sparse peak index bytes on a large
+	// corpus (work checksum, not timing): the suffix tree the paper uses
+	// against the sparse pair source the pipeline uses. The run fails if
+	// it is ≤ 1.
 	SparsePeakBytesRatio float64 `json:"sparse_peak_bytes_ratio,omitempty"`
 	// SimShardSpeedup is the deterministic virtual-makespan ratio
 	// single-master/sharded on the 64-rank master-bound corpus
@@ -183,9 +174,6 @@ func main() {
 				experiments.AlignCascadeKernel(alignSet, seedPairs, th)
 			}
 		})
-		// PipelineThreads runs with the seed-anchored cascade (the
-		// pipeline default); PipelineExact keeps the full-matrix
-		// reference visible in the trajectory at one thread count.
 		record(fmt.Sprintf("PipelineThreads/threads=%d", th), func(b *testing.B) {
 			cfg := experiments.PipelineConfig()
 			cfg.ThreadsPerRank = th
@@ -200,7 +188,7 @@ func main() {
 	// against the int32 scalar reference on the same pair batches,
 	// isolating the per-kernel win from the thread ladder. The cascade
 	// pair keeps the production mix visible (bit-parallel reject bound +
-	// striped rescore + profile reuse vs -kernels=scalar).
+	// striped rescore + profile reuse vs the scalar reference kernels).
 	record("AlignStriped/threads=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			experiments.AlignStripedKernel(alignSet, pairs, 1)
@@ -221,29 +209,6 @@ func main() {
 			experiments.AlignCascadeKernelMode(alignSet, seedPairs, 1, true)
 		}
 	})
-	record("PipelineExact/threads=1", func(b *testing.B) {
-		cfg := experiments.PipelineConfig()
-		cfg.ThreadsPerRank = 1
-		cfg.ExactAlign = true
-		for i := 0; i < b.N; i++ {
-			if _, _, err := profam.RunSet(pipeSet, 2, false, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// PipelineSparse mirrors PipelineThreads/threads=1 on the sparse
-	// pair backend; its ratio against the untraced GST kernel is the
-	// end-to-end cost of the streamed multiply.
-	record("PipelineSparse/threads=1", func(b *testing.B) {
-		cfg := experiments.PipelineConfig()
-		cfg.ThreadsPerRank = 1
-		cfg.Pairs = profam.PairsSparse
-		for i := 0; i < b.N; i++ {
-			if _, _, err := profam.RunSet(pipeSet, 2, false, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	// PipelineSharded mirrors PipelineThreads at 4 ranks, single-master
 	// vs 4 LSH shards, keeping the real-time cost of the sharded path
 	// (signature phase, split collectives, boundary merge) visible in
@@ -261,16 +226,8 @@ func main() {
 			}
 		})
 	}
-	// The pair-generation kernels isolate the candidate-pair index+
-	// enumeration hot path (no alignment, no transport) on the two
-	// non-default backends over the same corpus and ψ.
-	record("PairGenESA/threads=1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.PairGenESAKernel(pipeSet, 7); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	// The pair-generation kernel isolates the candidate-pair index +
+	// enumeration hot path (no alignment, no transport).
 	record("PairGenSparse/threads=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.PairGenSparseKernel(pipeSet, 7); err != nil {
@@ -314,45 +271,21 @@ func main() {
 	record("ServiceStatusBare", statusBench(bareH))
 	obsShutdown()
 
-	// The TCP kernels each grab a fresh port block per iteration so
-	// lingering TIME_WAIT sockets from the previous mesh can't collide.
-	// The window sits below the kernel's ephemeral port range
-	// (net.ipv4.ip_local_port_range, 32768+ by default): a prior mesh's
-	// *outbound* sockets pick ephemeral source ports, and with an
-	// overlapping window one of them can own the exact port the next
-	// mesh wants to Listen on, failing the bind and wedging the bench.
-	// The window recycles after 45 blocks; listeners rebind closed
-	// ports safely (SO_REUSEADDR).
-	tcpPort := 23700
-	nextTCPPorts := func() int {
-		p := tcpPort
-		tcpPort += 16
-		if tcpPort >= 24420 {
-			tcpPort = 23700
-		}
-		return p
-	}
-	for _, wf := range []struct {
-		name   string
-		format mpi.WireFormat
-	}{{"gob", mpi.WireGob}, {"binary", mpi.WireBinary}} {
-		wf := wf
-		record("PipelineTCP/wire="+wf.name, func(b *testing.B) {
-			mpi.SetWireFormat(wf.format)
-			defer mpi.SetWireFormat(mpi.WireBinary)
-			cfg := experiments.PipelineConfig()
-			cfg.ThreadsPerRank = 1
-			for i := 0; i < b.N; i++ {
-				if err := experiments.PipelineTCP(pipeSet, cfg, nextTCPPorts()); err != nil {
-					b.Fatal(err)
-				}
+	// The TCP kernels run the binary-framed hot messages over real
+	// loopback sockets.
+	record("PipelineTCP", func(b *testing.B) {
+		cfg := experiments.PipelineConfig()
+		cfg.ThreadsPerRank = 1
+		for i := 0; i < b.N; i++ {
+			if err := experiments.PipelineTCP(pipeSet, cfg); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 	roundBatches := experiments.MasterRoundBatches(64, 256, 9)
 	record("MasterRoundLatency", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := experiments.MasterRoundLatency(roundBatches, nextTCPPorts()); err != nil {
+			if err := experiments.MasterRoundLatency(roundBatches); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -392,40 +325,23 @@ func main() {
 	if auto, ok := results["AlignCascade/threads=1"]; ok && auto > 0 {
 		if scalar, ok := results["AlignCascadeScalar/threads=1"]; ok {
 			payload.CascadeKernelSpeedup = scalar / auto
-			log.Printf("cascade kernel speedup over -kernels=scalar: %.2fx", payload.CascadeKernelSpeedup)
+			log.Printf("cascade kernel speedup over the scalar reference kernels: %.2fx", payload.CascadeKernelSpeedup)
 		}
 	}
-	// Protocol-comparison scalars: deterministic simulation and a byte
-	// count, so they need no noise guard.
-	ov, err := experiments.OverlapWin(experiments.OverlapCorpus(), experiments.OverlapConfig(), 4, experiments.StragglerLink(4))
-	if err != nil {
-		log.Fatal(err)
-	}
-	payload.SimOverlapSpeedup = ov.Speedup()
-	payload.SimTaskWaitShareLockstep = ov.TaskWaitShareLockstep
-	payload.SimTaskWaitShareOverlap = ov.TaskWaitShareOverlap
-	log.Printf("sim overlap win (4 ranks, straggler link): %.2fx makespan, task-wait share %.3f -> %.3f",
-		ov.Speedup(), ov.TaskWaitShareLockstep, ov.TaskWaitShareOverlap)
-	wireRatio, err := experiments.WireBytesRatio(experiments.MasterRoundBatches(24, 48, 11), nextTCPPorts())
-	if err != nil {
-		log.Fatal(err)
-	}
-	payload.TCPWireBytesRatio = wireRatio
-	log.Printf("tcp wire bytes gob/binary: %.2fx", wireRatio)
-	// Peak index memory, ESA vs sparse, on a corpus large enough that
+	// Peak index memory, GST vs sparse, on a corpus large enough that
 	// the largest single CSR block sits well below the summed subtrees.
 	// Deterministic arithmetic over the bucket list — no noise guard —
-	// and a hard gate: the sparse backend's whole reason to exist is
-	// peaking lower than the resident-tree backends.
+	// and a hard gate: the sparse pair source exists to peak lower than
+	// a resident suffix tree.
 	memSet, _ := experiments.SetOfSize(1500, 53)
-	esaBytes, sparseBytes, memRatio, err := experiments.SparsePeakBytesRatio(memSet, 7)
+	gstBytes, sparseBytes, memRatio, err := experiments.SparsePeakBytesRatio(memSet, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
 	payload.SparsePeakBytesRatio = memRatio
-	log.Printf("peak index bytes esa/sparse: %d / %d = %.2fx", esaBytes, sparseBytes, memRatio)
+	log.Printf("peak index bytes gst/sparse: %d / %d = %.2fx", gstBytes, sparseBytes, memRatio)
 	if memRatio <= 1.0 {
-		log.Fatalf("sparse peak index bytes (%d) not below ESA (%d); ratio %.2f <= 1.0", sparseBytes, esaBytes, memRatio)
+		log.Fatalf("sparse peak index bytes (%d) not below GST (%d); ratio %.2f <= 1.0", sparseBytes, gstBytes, memRatio)
 	}
 	// Multi-master sharding win: deterministic 64-rank virtual-time
 	// makespans, single-master vs 8 LSH shards, on the master-bound

@@ -15,9 +15,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 
 	"profam/internal/ledger"
 )
+
+// legacyBackendField matches the pair_backend field that records written
+// while the promising-pair backend was selectable still carry. It sat
+// between config_fingerprint and submissions, so it is never the last
+// field. The backend is fixed now, so the schema check ignores it.
+var legacyBackendField = regexp.MustCompile(`"pair_backend":"[^"]*",`)
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -40,7 +47,8 @@ func run(args []string, stdout *os.File) error {
 
 	// Schema round-trip over the raw lines: every line must decode into
 	// ledger.Record and re-encode to the identical bytes, proving the
-	// file carries no fields the schema silently drops.
+	// file carries no fields the schema silently drops (apart from the
+	// retired pair_backend).
 	raw, err := os.Open(*path)
 	if err != nil {
 		return err
@@ -51,7 +59,7 @@ func run(args []string, stdout *os.File) error {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
+		line := legacyBackendField.ReplaceAll(bytes.TrimSpace(sc.Bytes()), nil)
 		if len(line) == 0 {
 			continue
 		}

@@ -4,10 +4,12 @@
 //     machine sweeps 32..512 ranks and prints the speedup curve of the
 //     redundancy-removal + clustering phases (the paper's Figure 7a).
 //
-//  2. An in-process TCP mesh (gob-encoded messages over real sockets —
-//     the "custom RPC" substrate) runs the full pipeline end to end.
+//  2. An in-process TCP mesh (gob envelopes with binary-framed hot
+//     messages over real sockets — the "custom RPC" substrate) runs the
+//     full pipeline end to end. Its listeners bind OS-chosen loopback
+//     ports.
 //
-//     go run ./examples/distributed [-n 500] [-tcp-port 42800]
+//     go run ./examples/distributed [-n 500]
 package main
 
 import (
@@ -23,7 +25,6 @@ import (
 
 func main() {
 	n := flag.Int("n", 500, "approximate number of sequences")
-	port := flag.Int("tcp-port", 42800, "base port for the TCP mesh demo")
 	flag.Parse()
 
 	set, _ := workload.Generate(workload.Params{
@@ -67,7 +68,7 @@ func main() {
 	profam.RegisterWireTypes()
 	pcfg := profam.Config{Psi: 7, EdgeSimilarity: 0.7}
 	var famCount, seqInFam int
-	err := mpi.RunTCP(4, *port, func(c *mpi.Comm) {
+	err := mpi.RunTCP(4, func(c *mpi.Comm) {
 		res, err := profam.RunPipelineOn(c, set, pcfg)
 		if err != nil {
 			panic(err)

@@ -94,14 +94,6 @@ type Config struct {
 	Edge align.OverlapParams
 	// W is the word length for B_m (default 10, per the paper's w ≈ 10).
 	W int
-	// ExactAlign disables the seed-anchored cascade for B_d edge
-	// alignments, running every candidate pair through the full-matrix
-	// Overlaps predicate. Edges are identical either way.
-	ExactAlign bool
-	// ScalarKernels keeps the cascade on the int32 scalar kernels,
-	// disabling the word-parallel stages and the per-component profile
-	// reuse. Edges are identical either way.
-	ScalarKernels bool
 }
 
 func (c Config) withDefaults() Config {
@@ -158,17 +150,11 @@ func BuildBd(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error
 		return nil, BuildStats{}, err
 	}
 	al := align.NewAligner(cfg.Scoring)
-	if cfg.ScalarKernels {
-		al.Kernels = align.KernelScalar
-	}
 	// A component aligns each member against many partners, so the
 	// word-parallel kernels' query profiles are shared across the whole
 	// edge-discovery sweep instead of rebuilt per pair.
-	var profs *pool.ProfileSet
-	if !cfg.ScalarKernels && !cfg.ExactAlign {
-		profs = pool.NewProfileCache(cfg.Scoring).NewSet()
-		defer profs.Release()
-	}
+	profs := pool.NewProfileCache(cfg.Scoring).NewSet()
+	defer profs.Release()
 	seen := map[int64]bool{}
 	var st BuildStats
 	suffixtree.MergedPairs(trees, func(p suffixtree.Pair) bool {
@@ -179,18 +165,8 @@ func BuildBd(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error
 		seen[key] = true
 		st.PairsAligned++
 		a, b := sub.Get(int(p.SeqA)).Res, sub.Get(int(p.SeqB)).Res
-		var ok bool
-		if cfg.ExactAlign {
-			ok, _ = al.Overlaps(a, b, cfg.Edge)
-		} else {
-			seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
-			var prof *align.Profile
-			if profs != nil {
-				prof = profs.Get(p.SeqA, a)
-			}
-			ok, _ = al.OverlapsCascadeProf(a, b, cfg.Edge, seed, prof)
-		}
-		if ok {
+		seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
+		if ok, _ := al.OverlapsCascadeProf(a, b, cfg.Edge, seed, profs.Get(p.SeqA, a)); ok {
 			g.Adj[p.SeqA] = append(g.Adj[p.SeqA], p.SeqB)
 			g.Adj[p.SeqB] = append(g.Adj[p.SeqB], p.SeqA)
 		}

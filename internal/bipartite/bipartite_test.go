@@ -1,11 +1,13 @@
 package bipartite
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
 	"profam/internal/align"
 	"profam/internal/seq"
+	"profam/internal/suffixtree"
 	"profam/internal/workload"
 )
 
@@ -210,5 +212,61 @@ func TestGraphStats(t *testing.T) {
 	empty := &Graph{}
 	if empty.MeanLeftDegree() != 0 {
 		t.Error("empty graph degree")
+	}
+}
+
+// TestBuildBdEdgesMatchExactOverlaps: on a multi-family component with
+// both accepted and rejected candidates, BuildBd's adjacency (built
+// through the alignment cascade) equals the one the full-DP Overlaps
+// predicate gives over the same suffix-tree candidate pairs.
+func TestBuildBdEdgesMatchExactOverlaps(t *testing.T) {
+	set, _ := workload.Generate(workload.Params{
+		Families: 3, MeanFamilySize: 8, MeanLength: 110,
+		Divergence: 0.12, IndelRate: 0.004, Subfamilies: 2, Singletons: 4, Seed: 23,
+	})
+	members := make([]int, set.Len())
+	for i := range members {
+		members[i] = i
+	}
+	cfg := Config{Psi: 6}
+	g, _, err := BuildBd(set, members, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	trees, err := suffixtree.Build(set, suffixtree.Options{MinMatch: cfg.Psi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	al := align.NewAligner(nil)
+	want := make([][]int32, set.Len())
+	seen := map[[2]int32]bool{}
+	rejected := 0
+	suffixtree.MergedPairs(trees, func(p suffixtree.Pair) bool {
+		if seen[[2]int32{p.SeqA, p.SeqB}] {
+			return true
+		}
+		seen[[2]int32{p.SeqA, p.SeqB}] = true
+		if ok, _ := al.Overlaps(set.Get(int(p.SeqA)).Res, set.Get(int(p.SeqB)).Res, align.DefaultOverlapParams()); ok {
+			want[p.SeqA] = append(want[p.SeqA], p.SeqB)
+			want[p.SeqB] = append(want[p.SeqB], p.SeqA)
+		} else {
+			rejected++
+		}
+		return true
+	})
+	edges := 0
+	for i := range want {
+		if len(want[i]) > 0 {
+			want[i] = append(want[i], int32(i))
+			edges++
+		}
+		sort.Slice(want[i], func(a, b int) bool { return want[i][a] < want[i][b] })
+	}
+	if edges == 0 || rejected == 0 {
+		t.Fatalf("degenerate component: %d vertices with edges, %d rejected pairs", edges, rejected)
+	}
+	if fmt.Sprint(g.Adj) != fmt.Sprint(want) {
+		t.Fatalf("BuildBd edges differ from the full-DP Overlaps edge set:\ngot  %v\nwant %v", g.Adj, want)
 	}
 }

@@ -1,47 +1,16 @@
 package experiments
 
 import (
-	"profam/internal/esa"
 	"profam/internal/seq"
 	"profam/internal/spgemm"
 	"profam/internal/suffixtree"
 )
 
-// PairGenESAKernel is the enhanced-suffix-array pair-generation path in
-// isolation: build one ESA subtree per bucket, then drain the merged
-// pair stream with first-occurrence dedup — the same enumeration the
-// worker-side pair source performs. It returns the deduplicated pair
-// count (a work checksum, identical across runs).
-func PairGenESAKernel(set *seq.Set, psi int) (int, error) {
-	opt := suffixtree.Options{MinMatch: psi}
-	buckets, err := suffixtree.Buckets(set, opt)
-	if err != nil {
-		return 0, err
-	}
-	trees := make([]*suffixtree.SubTree, 0, len(buckets))
-	for _, b := range buckets {
-		t, err := esa.BuildBucket(set, b, opt)
-		if err != nil {
-			return 0, err
-		}
-		trees = append(trees, t)
-	}
-	seen := map[int64]bool{}
-	suffixtree.MergedPairs(trees, func(p suffixtree.Pair) bool {
-		key := int64(p.SeqA)<<32 | int64(uint32(p.SeqB))
-		if !seen[key] {
-			seen[key] = true
-		}
-		return true
-	})
-	return len(seen), nil
-}
-
-// PairGenSparseKernel is the sparse-matrix pair-generation path in
-// isolation: the blocked k-mer × sequence multiply streamed over the
-// same buckets, drained to exhaustion. It returns the emitted pair
-// count — identical to PairGenESAKernel's on the same set, since the
-// candidate sets coincide.
+// PairGenSparseKernel is the pipeline's pair-generation path in
+// isolation: the blocked k-mer × sequence multiply streamed over every
+// bucket, drained to exhaustion. It returns the emitted pair count — the
+// deduplicated promising-pair count of the suffix-tree oracle on the
+// same set, since the candidate sets coincide.
 func PairGenSparseKernel(set *seq.Set, psi int) (int, error) {
 	buckets, err := suffixtree.Buckets(set, suffixtree.Options{MinMatch: psi})
 	if err != nil {
@@ -65,34 +34,33 @@ func PairGenSparseKernel(set *seq.Set, psi int) (int, error) {
 	}
 }
 
-// SparsePeakBytesRatio compares the peak index memory of the ESA and
-// sparse backends on one corpus. The ESA (like the GST) holds every
-// subtree of the rank's assignment alive for the whole phase, so its
-// peak is the sum of all subtree footprints; the sparse backend
-// materializes one bucket's CSR block at a time, so its peak is the
-// largest single block. Both sides are deterministic arithmetic over
-// the same bucket list — no timing involved. Returns the two byte
-// counts and their ratio (esa/sparse; > 1 means the sparse backend
-// peaks lower).
-func SparsePeakBytesRatio(set *seq.Set, psi int) (esaBytes, sparseBytes int64, ratio float64, err error) {
+// SparsePeakBytesRatio compares the peak index memory of a generalized
+// suffix tree over the corpus's buckets with the sparse pair source's.
+// The tree holds every subtree of the assignment alive for the whole
+// phase, so its peak is the sum of all subtree footprints; the sparse
+// source materializes one bucket's CSR block at a time, so its peak is
+// the largest single block. Both sides are deterministic arithmetic over
+// the same bucket list — no timing involved. Returns the two byte counts
+// and their ratio (gst/sparse; > 1 means the sparse source peaks lower).
+func SparsePeakBytesRatio(set *seq.Set, psi int) (gstBytes, sparseBytes int64, ratio float64, err error) {
 	opt := suffixtree.Options{MinMatch: psi}
 	buckets, err := suffixtree.Buckets(set, opt)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	for _, b := range buckets {
-		t, err := esa.BuildBucket(set, b, opt)
+		t, err := suffixtree.BuildBucket(set, b, opt)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		esaBytes += t.Stats().ApproxBytes
+		gstBytes += t.Stats().ApproxBytes
 	}
 	sparseBytes, err = spgemm.IndexPeakBytes(set, buckets, spgemm.Options{K: psi})
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	if sparseBytes > 0 {
-		ratio = float64(esaBytes) / float64(sparseBytes)
+		ratio = float64(gstBytes) / float64(sparseBytes)
 	}
-	return esaBytes, sparseBytes, ratio, nil
+	return gstBytes, sparseBytes, ratio, nil
 }

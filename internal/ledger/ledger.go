@@ -5,8 +5,7 @@
 //
 // Each committed record pins the epoch's inputs (submission and
 // sequence counts, a digest of the union corpus's sequence names in ID
-// order), its configuration (the family-affecting fingerprint and the
-// pair backend), its output (family count and a digest of the canonical
+// order), its configuration (the family-affecting fingerprint), its output (family count and a digest of the canonical
 // family listing — the exact bytes `profam -out` would write for the
 // union corpus), and its execution shape (per-phase critical-path
 // durations lifted from the merged metrics report, demotion and
@@ -51,7 +50,8 @@ const (
 
 // Record is one epoch's provenance entry. All fields are plain data so
 // the JSONL encoding round-trips byte-identically (map keys are emitted
-// sorted by encoding/json).
+// sorted by encoding/json). Lines written before the pair backend became
+// fixed also carry a pair_backend field; decoding ignores it.
 type Record struct {
 	// Epoch is the epoch number this record describes: the committed
 	// epoch for StatusCommitted, the epoch the attempt would have
@@ -64,8 +64,6 @@ type Record struct {
 	// Fingerprint is the canonical family-affecting config fingerprint
 	// every epoch of one corpus must share (profam.Config.Fingerprint).
 	Fingerprint string `json:"config_fingerprint"`
-	// PairBackend is the promising-pair backend (gst, esa or sparse).
-	PairBackend string `json:"pair_backend"`
 	// Submissions and NewSequences count the batch that rode into this
 	// epoch; CorpusSize is the union corpus after it.
 	Submissions  int `json:"submissions"`

@@ -14,7 +14,6 @@ func sampleRecord(epoch int) Record {
 		Status:           StatusCommitted,
 		UnixNanos:        1700000000000000000 + int64(epoch),
 		Fingerprint:      "k=4;q=3",
-		PairBackend:      "gst",
 		Submissions:      2,
 		NewSequences:     10,
 		CorpusSize:       10 * epoch,

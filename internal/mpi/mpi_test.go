@@ -108,7 +108,7 @@ func TestSendToSelf(t *testing.T) {
 		t.Fatalf("simtime: %v", err)
 	}
 	RegisterType("")
-	if err := RunTCP(2, nextPorts(), check); err != nil {
+	if err := RunTCP(2, check); err != nil {
 		t.Fatalf("tcp: %v", err)
 	}
 }
@@ -392,17 +392,13 @@ func TestSimPanicPropagates(t *testing.T) {
 	}
 }
 
-var tcpPort int32 = 42600
-
-func nextPorts() int { return int(atomic.AddInt32(&tcpPort, 16)) - 16 }
-
 func TestTCPRingAndCollectives(t *testing.T) {
 	RegisterType("")
 	RegisterType(0)
 	RegisterType(int64(0))
 	RegisterType(float64(0))
 	const p = 3
-	err := RunTCP(p, nextPorts(), func(c *Comm) {
+	err := RunTCP(p, func(c *Comm) {
 		next := (c.Rank() + 1) % p
 		prev := (c.Rank() + p - 1) % p
 		c.Send(next, 3, fmt.Sprintf("hello-%d", c.Rank()))
@@ -422,7 +418,7 @@ func TestTCPRingAndCollectives(t *testing.T) {
 
 func TestTCPLargerPayloads(t *testing.T) {
 	RegisterType([]int32{})
-	err := RunTCP(2, nextPorts(), func(c *Comm) {
+	err := RunTCP(2, func(c *Comm) {
 		if c.Rank() == 0 {
 			data := make([]int32, 5000)
 			for i := range data {

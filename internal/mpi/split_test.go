@@ -111,7 +111,7 @@ func TestSplitSimtime(t *testing.T) {
 func TestSplitTCP(t *testing.T) {
 	RegisterType(0)
 	RegisterType(int64(0))
-	if err := RunTCP(4, nextPorts(), splitWorkout); err != nil {
+	if err := RunTCP(4, splitWorkout); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -156,7 +156,7 @@ func TestSplitRaceHammer(t *testing.T) {
 	}{
 		{"inproc", Run},
 		{"sim", func(p int, f func(c *Comm)) error { _, err := RunSim(p, BlueGeneLike(), f); return err }},
-		{"tcp", func(p int, f func(c *Comm)) error { return RunTCP(p, nextPorts(), f) }},
+		{"tcp", RunTCP},
 	}
 	RegisterType(0)
 	RegisterType(int64(0))

@@ -85,13 +85,11 @@ func (t *tcpTransport) send(to, tag int, data any) int {
 	}
 	payload := data
 	var scratch *[]byte
-	if CurrentWireFormat() == WireBinary {
-		if bp, ok := data.(BinaryPayload); ok {
-			scratch = wireBufPool.Get().(*[]byte)
-			body := bp.AppendBinary((*scratch)[:0])
-			*scratch = body // keep any growth for reuse
-			payload = rawFrame{Kind: bp.WireKind(), Body: body}
-		}
+	if bp, ok := data.(BinaryPayload); ok {
+		scratch = wireBufPool.Get().(*[]byte)
+		body := bp.AppendBinary((*scratch)[:0])
+		*scratch = body // keep any growth for reuse
+		payload = rawFrame{Kind: bp.WireKind(), Body: body}
 	}
 	p := t.peers[to]
 	p.mu.Lock()
@@ -153,6 +151,16 @@ func (t *tcpTransport) close() {
 //
 // The handshake is: dialer sends its rank as the first gob value.
 func DialMesh(r int, addrs []string) (*Comm, func(), error) {
+	ln, err := net.Listen("tcp", addrs[r])
+	if err != nil {
+		return nil, nil, fmt.Errorf("mpi: rank %d listen %s: %w", r, addrs[r], err)
+	}
+	return dialMesh(r, ln, addrs)
+}
+
+// dialMesh completes rank r's mesh over an already-bound listener; it
+// owns ln from here on and closes it on error or in the cleanup.
+func dialMesh(r int, ln net.Listener, addrs []string) (*Comm, func(), error) {
 	n := len(addrs)
 	t := &tcpTransport{
 		r: r, n: n,
@@ -163,11 +171,6 @@ func DialMesh(r int, addrs []string) (*Comm, func(), error) {
 	decs := make([]*gob.Decoder, n)
 	crs := make([]*countReader, n)
 	conns := make([]net.Conn, n)
-
-	ln, err := net.Listen("tcp", addrs[r])
-	if err != nil {
-		return nil, nil, fmt.Errorf("mpi: rank %d listen %s: %w", r, addrs[r], err)
-	}
 
 	var wg sync.WaitGroup
 	var firstErr error
@@ -289,11 +292,21 @@ func DialMesh(r int, addrs []string) (*Comm, func(), error) {
 // RunTCP executes f on p ranks connected over loopback TCP, one goroutine
 // per rank, blocking until all finish. It exercises the genuine
 // socket/RPC path inside a single process; multi-process deployments use
-// DialMesh directly with one rank per process.
-func RunTCP(p int, basePort int, f func(c *Comm)) error {
+// DialMesh directly with one rank per process. Every rank's listener is
+// bound to an OS-chosen port before any rank dials, so no caller picks
+// ports and concurrent meshes cannot collide.
+func RunTCP(p int, f func(c *Comm)) error {
+	lns := make([]net.Listener, p)
 	addrs := make([]string, p)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, l := range lns[:i] {
+				l.Close()
+			}
+			return fmt.Errorf("mpi: rank %d listen: %w", i, err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
 	errs := make(chan error, p)
 	var wg sync.WaitGroup
@@ -306,7 +319,7 @@ func RunTCP(p int, basePort int, f func(c *Comm)) error {
 					errs <- fmt.Errorf("mpi: tcp rank %d panicked: %v", r, e)
 				}
 			}()
-			c, cleanup, err := DialMesh(r, addrs)
+			c, cleanup, err := dialMesh(r, lns[r], addrs)
 			if err != nil {
 				errs <- err
 				return

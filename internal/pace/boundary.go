@@ -15,19 +15,19 @@ import (
 // charged to the rank's virtual clock exactly like a worker batch.
 
 // AlignContainPairs runs the redundancy-removal predicate (Definition 1,
-// seed-anchored cascade unless cfg.ExactAlign) over tasks on the calling
+// through the seed-anchored cascade) over tasks on the calling
 // rank. Outcome i corresponds to tasks[i]; Which identifies the
 // contained side as in the master–worker phase.
 func AlignContainPairs(c *mpi.Comm, set *seq.Set, tasks []PairItem, cfg Config, phase string) []AlignOutcome {
 	cfg = cfg.withDefaults()
-	return alignStriped(c, set, rrWorker{params: cfg.Contain, exact: cfg.ExactAlign}, tasks, cfg, phase)
+	return alignStriped(c, set, rrWorker{params: cfg.Contain}, tasks, cfg, phase)
 }
 
 // AlignOverlapPairs runs the component-overlap predicate (Definition 2)
 // over tasks on the calling rank; OK outcomes are union edges.
 func AlignOverlapPairs(c *mpi.Comm, set *seq.Set, tasks []PairItem, cfg Config, phase string) []AlignOutcome {
 	cfg = cfg.withDefaults()
-	return alignStriped(c, set, ccWorker{params: cfg.Overlap, exact: cfg.ExactAlign}, tasks, cfg, phase)
+	return alignStriped(c, set, ccWorker{params: cfg.Overlap}, tasks, cfg, phase)
 }
 
 func alignStriped(c *mpi.Comm, set *seq.Set, wl workerLogic, tasks []PairItem, cfg Config, phase string) []AlignOutcome {
@@ -40,7 +40,7 @@ func alignStriped(c *mpi.Comm, set *seq.Set, wl workerLogic, tasks []PairItem, c
 	threads := max(1, cfg.Threads)
 	cache, profs := workerCaches(cfg)
 	obs := poolObserver(cfg.Metrics, phase, "align")
-	out, cells := alignBatch(cache, profs, threads, set, wl, tasks, nil, obs)
+	out, cells := alignBatch(cache, profs, threads, set, wl, tasks, obs)
 	c.Advance(float64(pool.CeilDiv(cells, threads)) * cfg.Costs.SecPerCell)
 	l := func(n string) string { return metrics.Name(n, "phase", phase) }
 	cfg.Metrics.Counter(l("pace_pairs_aligned")).Add(int64(len(out)))

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"profam/internal/align"
-	"profam/internal/esa"
 	"profam/internal/metrics"
 	"profam/internal/mpi"
 	"profam/internal/pool"
@@ -31,19 +30,16 @@ type phaseCounters struct {
 	queueDepth                *metrics.Gauge     // high-water mark of the master's pending heap
 	quota                     *metrics.Gauge     // high-water adaptive per-worker task quota
 	// cascadeStage[s] counts pairs decided by cascade stage s
-	// (prefilter/banded/full); cascadeFullCells accumulates what those
-	// pairs would have cost under the exact full-matrix predicates, so
-	// cells-eliminated = cascadeFullCells − pace_align_cells. The series
-	// only appear with the cascade enabled (created lazily on first
-	// staged outcome) so an -exact-align run exports an identical
-	// metric set to the seed pipeline.
+	// (prefilter/banded/full/...); cascadeFullCells accumulates what
+	// those pairs would have cost under the exact full-matrix
+	// predicates, so cells-eliminated = cascadeFullCells −
+	// pace_align_cells. Series are created lazily on first use, so a
+	// phase exports only the stages that actually decided a pair.
 	cascadeStage     map[align.Stage]*metrics.Counter
 	cascadeFullCells *metrics.Counter
-	// kernelPairs[k] counts cascade-decided pairs whose deciding stage
-	// ran on kernel k (bitvec/striped/int32); kernelCells[k] splits the
-	// DP cells the same way. Lazily created like cascadeStage, so an
-	// -exact-align run exports an unchanged metric set and a
-	// -kernels=scalar run never grows bitvec/striped series.
+	// kernelPairs[k] counts pairs whose deciding stage ran on kernel k
+	// (bitvec/striped/int32); kernelCells[k] splits the DP cells the
+	// same way. Lazily created like cascadeStage.
 	kernelPairs map[string]*metrics.Counter
 	kernelCells map[string]*metrics.Counter
 	reg         *metrics.Registry
@@ -51,17 +47,10 @@ type phaseCounters struct {
 	base        Stats
 }
 
-// rawPairsName labels the raw-pair counter with the enumerating
-// backend, so runs are attributable (and comparable) per backend. The
-// same name must be used by the worker ranks that own the counter.
-func rawPairsName(backend, phase string) string {
-	return metrics.Name("pace_pairs_raw", "backend", backend, "phase", phase)
-}
-
-func newPhaseCounters(reg *metrics.Registry, phase, backend string) phaseCounters {
+func newPhaseCounters(reg *metrics.Registry, phase string) phaseCounters {
 	l := func(n string) string { return metrics.Name(n, "phase", phase) }
 	pc := phaseCounters{
-		raw:          reg.Counter(rawPairsName(backend, phase)),
+		raw:          reg.Counter(l("pace_pairs_raw")),
 		generated:    reg.Counter(l("pace_pairs_generated")),
 		duplicate:    reg.Counter(l("pace_pairs_duplicate")),
 		closure:      reg.Counter(l("pace_pairs_closure")),
@@ -83,7 +72,7 @@ func newPhaseCounters(reg *metrics.Registry, phase, backend string) phaseCounter
 	return pc
 }
 
-// countStage records one cascade-decided pair.
+// countStage records one pair's deciding cascade stage.
 func (pc *phaseCounters) countStage(stage align.Stage, fullCells int64) {
 	c := pc.cascadeStage[stage]
 	if c == nil {
@@ -98,8 +87,8 @@ func (pc *phaseCounters) countStage(stage align.Stage, fullCells int64) {
 	pc.cascadeFullCells.Add(fullCells)
 }
 
-// countKernels attributes one cascade-decided pair and its DP cells to
-// the kernels that did the work: the pair goes to the deciding stage's
+// countKernels attributes one pair and its DP cells to the kernels that
+// did the work: the pair goes to the deciding stage's
 // kernel, the cells split by which kernel computed them.
 func (pc *phaseCounters) countKernels(r AlignOutcome) {
 	k := align.Stage(r.Stage).Kernel()
@@ -167,108 +156,6 @@ func poolObserver(reg *metrics.Registry, phase, site string) pool.Observer {
 	return func(queued, threads int) { h.Observe(int64(queued)) }
 }
 
-// pairSource pulls promising pairs out of a worker's subtrees in
-// decreasing match-length order, deduplicating locally (the first — and
-// therefore longest — occurrence of each sequence pair wins).
-type pairSource struct {
-	refs []nodeRef
-	cur  int
-	buf  []PairItem
-	pos  int
-	seen map[int64]bool
-	raw  int64 // pairs enumerated before local dedup
-	// newFrom > 0 is the incremental-epoch filter: pairs whose sequences
-	// both predate it are settled by the prior state and are skipped at
-	// enumeration (counted in prior), before local dedup.
-	newFrom int32
-	prior   int64
-}
-
-type nodeRef struct {
-	t *suffixtree.SubTree
-	i int
-}
-
-func newPairSource(trees []*suffixtree.SubTree, newFrom int32) *pairSource {
-	s := &pairSource{seen: make(map[int64]bool), newFrom: newFrom}
-	for _, t := range trees {
-		for i := range t.Nodes {
-			s.refs = append(s.refs, nodeRef{t, i})
-		}
-	}
-	sort.SliceStable(s.refs, func(a, b int) bool {
-		return s.refs[a].t.Nodes[s.refs[a].i].Depth > s.refs[b].t.Nodes[s.refs[b].i].Depth
-	})
-	return s
-}
-
-// next returns up to k pairs and whether the source is now exhausted.
-func (s *pairSource) next(k int) ([]PairItem, bool) {
-	out := make([]PairItem, 0, k)
-	for len(out) < k {
-		if s.pos >= len(s.buf) {
-			if s.cur >= len(s.refs) {
-				return out, true
-			}
-			r := s.refs[s.cur]
-			s.cur++
-			s.buf = s.buf[:0]
-			s.pos = 0
-			r.t.EmitNodePairs(r.i, func(p suffixtree.Pair) bool {
-				s.raw++
-				if s.newFrom > 0 && p.SeqA < s.newFrom && p.SeqB < s.newFrom {
-					s.prior++
-					return true
-				}
-				key := pairKey(p.SeqA, p.SeqB)
-				if !s.seen[key] {
-					s.seen[key] = true
-					s.buf = append(s.buf, PairItem{A: p.SeqA, B: p.SeqB,
-						OffA: p.OffA, OffB: p.OffB, Len: p.Len})
-				}
-				return true
-			})
-			continue
-		}
-		out = append(out, s.buf[s.pos])
-		s.pos++
-	}
-	exhausted := s.pos >= len(s.buf) && s.cur >= len(s.refs)
-	return out, exhausted
-}
-
-// buildTrees constructs the per-bucket indexes owned by this rank (GST
-// or ESA per cfg.Index), charging construction work to the virtual
-// clock. Buckets are independent, so they build on the rank's goroutine
-// pool; the result slice is indexed by bucket position, keeping the
-// tree order — and therefore the pair stream — identical for every
-// thread count.
-func buildTrees(c *mpi.Comm, set *seq.Set, bucketIdx []int, buckets []suffixtree.Bucket, cfg Config, phase string) ([]*suffixtree.SubTree, error) {
-	sp := cfg.Metrics.StartSpan(phase + "/index")
-	defer sp.End()
-	opt := suffixtree.Options{MinMatch: cfg.Psi, PrefixLen: cfg.PrefixLen}
-	build := suffixtree.BuildBucket
-	if cfg.Index == IndexESA {
-		build = esa.BuildBucket
-	}
-	threads := max(1, cfg.Threads)
-	trees := make([]*suffixtree.SubTree, len(bucketIdx))
-	errs := make([]error, len(bucketIdx))
-	pool.RunObserved(threads, len(bucketIdx), poolObserver(cfg.Metrics, phase, "index"), func(i int) {
-		trees[i], errs[i] = build(set, buckets[bucketIdx[i]], opt)
-	})
-	var weight int64
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		weight += buckets[bucketIdx[i]].Weight
-	}
-	c.Advance(float64(pool.CeilDiv(weight, threads)) * cfg.Costs.SecPerTreeChar)
-	cfg.Metrics.Counter(metrics.Name("pace_index_chars", "phase", phase)).Add(weight)
-	return trees, nil
-}
-
 // masterState is the generic master-side round bookkeeping. All of its
 // counting goes straight to the metrics registry through ctr; the Stats
 // a phase returns are read back out of the registry when it ends.
@@ -286,7 +173,7 @@ func newMasterState(logic masterLogic, cfg Config, phase string) *masterState {
 	return &masterState{
 		pending: taskHeap{fifo: cfg.RandomPairOrder},
 		seen:    make(map[int64]bool),
-		ctr:     newPhaseCounters(cfg.Metrics, phase, cfg.Index.String()),
+		ctr:     newPhaseCounters(cfg.Metrics, phase),
 		logic:   logic,
 		cfg:     cfg,
 	}
@@ -325,10 +212,8 @@ func (ms *masterState) absorbResults(results []AlignOutcome) {
 			ms.ctr.positive.Inc()
 			ms.merges++
 		}
-		if r.Stage != 0 {
-			ms.ctr.countStage(align.Stage(r.Stage), r.FullCells)
-			ms.ctr.countKernels(r)
-		}
+		ms.ctr.countStage(align.Stage(r.Stage), r.FullCells)
+		ms.ctr.countKernels(r)
 		ms.logic.absorb(r)
 	}
 }
@@ -351,76 +236,8 @@ func (ms *masterState) popTasks(k int) []PairItem {
 	return tasks
 }
 
-// runMaster drives the lockstep master loop on rank 0.
-func runMaster(c *mpi.Comm, ms *masterState) {
-	p := c.Size()
-	tr := ms.cfg.Trace
-	phase := ms.ctr.phase
-	exhausted := make([]bool, p)
-	var round int64
-	for {
-		round++
-		ms.ctr.rounds.Inc()
-		roundStart := tr.Now()
-		for w := 1; w < p; w++ {
-			msg := c.Recv(w, tagWorker).Data.(WorkerMsg)
-			tr.Instant(trace.CatMaster, phase+"/collect",
-				"pairs", int64(len(msg.Pairs)), "results", int64(len(msg.Results)))
-			ms.absorbResults(msg.Results)
-			if msg.Exhausted {
-				exhausted[w] = true
-			}
-			ms.ctr.generated.Add(int64(len(msg.Pairs)))
-			if len(msg.Pairs) > 0 {
-				ms.ctr.batchPairs.Observe(int64(len(msg.Pairs)))
-			}
-			nops := ms.ingestPairs(msg.Pairs)
-			c.Advance(float64(nops+len(msg.Results)) * ms.cfg.Costs.SecPerPairFilter)
-		}
-		done := ms.pending.Len() == 0
-		for w := 1; w < p; w++ {
-			if !exhausted[w] {
-				done = false
-			}
-		}
-		// Spread the pending work evenly over the workers this round:
-		// handing the first workers full batches would leave the rest
-		// idle and serialize the round on the loaded few.
-		quota := ms.cfg.BatchTasks
-		if p > 1 {
-			fair := ms.pending.Len()/(p-1) + 1
-			if fair < quota {
-				quota = fair
-			}
-		}
-		for w := 1; w < p; w++ {
-			var tasks []PairItem
-			if !done {
-				tasks = ms.popTasks(quota)
-			}
-			if len(tasks) > 0 {
-				ms.ctr.batchTasks.Observe(int64(len(tasks)))
-			}
-			tr.Instant(trace.CatMaster, phase+"/dispatch",
-				"to", int64(w), "tasks", int64(len(tasks)))
-			c.Send(w, tagMaster, MasterMsg{Tasks: tasks, Done: done})
-		}
-		tr.Count(trace.CatMaster, phase+"/queue", int64(ms.pending.Len()))
-		tr.Count(trace.CatMaster, phase+"/merges", ms.merges)
-		tr.Span(trace.CatMaster, phase+"/round", roundStart, tr.Now(),
-			"round", round, "queue", int64(ms.pending.Len()))
-		ms.cfg.Log.Debug("master round",
-			"phase", phase, "round", round,
-			"queue", ms.pending.Len(), "merges", ms.merges, "t", c.Time())
-		if done {
-			return
-		}
-	}
-}
-
-// overlapWorker is the master's per-worker protocol bookkeeping for the
-// event-driven loop.
-type overlapWorker struct {
+// workerState is the master's per-worker protocol bookkeeping.
+type workerState struct {
 	exhausted   bool // the worker's pair source is drained
 	outstanding int  // tasks dispatched whose outcomes have not come back
 	owed        int  // requests received and not yet answered (parked)
@@ -429,10 +246,10 @@ type overlapWorker struct {
 	received    int  // requests received so far
 }
 
-// runMasterOverlap drives the event-driven master loop on rank 0: it
-// serves worker messages strictly in arrival order (RecvAny) and answers
-// each request individually, so a fast worker is never stalled behind a
-// slow one the way the lockstep global round stalls it.
+// runMaster drives the event-driven master loop on rank 0: it serves
+// worker messages strictly in arrival order (RecvAny) and answers each
+// request individually, so a fast worker is never stalled behind a slow
+// one the way a global round barrier would stall it.
 //
 // Protocol: each worker keeps PrefetchDepth requests in flight; every
 // non-Done reply provokes exactly one further request (carrying the
@@ -449,17 +266,17 @@ type overlapWorker struct {
 // with outstanding tasks is safe: each of the replies it already holds
 // provokes one results-bearing request, so the outcomes the termination
 // condition waits for arrive without any further prompting.
-func runMasterOverlap(c *mpi.Comm, ms *masterState) {
+func runMaster(c *mpi.Comm, ms *masterState) {
 	p := c.Size()
 	tr := ms.cfg.Trace
 	phase := ms.ctr.phase
 	depth := ms.cfg.PrefetchDepth
 	// With depth requests in flight per worker, a per-dispatch quota of
 	// BatchTasks/depth keeps each worker's undispatchable window (tasks
-	// the closure filter can no longer recall) at BatchTasks — the same
-	// window the lockstep protocol exposes. A larger quota overlaps no
-	// better and measurably inflates the aligned-pair count: stale tasks
-	// connecting already-merged clusters slip past the filter.
+	// the closure filter can no longer recall) at BatchTasks. A larger
+	// quota overlaps no better and measurably inflates the aligned-pair
+	// count: stale tasks connecting already-merged clusters slip past the
+	// filter.
 	maxQuota := ms.cfg.BatchTasks / max(1, depth)
 	if maxQuota < 1 {
 		maxQuota = 1
@@ -468,9 +285,9 @@ func runMasterOverlap(c *mpi.Comm, ms *masterState) {
 	if initialQuota < 1 {
 		initialQuota = 1
 	}
-	ws := make([]overlapWorker, p)
+	ws := make([]workerState, p)
 	for w := 1; w < p; w++ {
-		ws[w] = overlapWorker{quota: initialQuota, expect: depth}
+		ws[w] = workerState{quota: initialQuota, expect: depth}
 	}
 	done := false
 
@@ -590,15 +407,12 @@ func runMasterOverlap(c *mpi.Comm, ms *masterState) {
 // batch instead of once per pair. The summed DP cells are returned so
 // the caller can charge the virtual clock ceil(cells/threads), the
 // perfect-speedup model.
-func alignBatch(cache *pool.AlignerCache, profs *pool.ProfileCache, threads int, set *seq.Set, wl workerLogic, tasks []PairItem, out []AlignOutcome, obs pool.Observer) ([]AlignOutcome, int64) {
-	if cap(out) < len(tasks) {
-		out = make([]AlignOutcome, len(tasks))
-	} else {
-		out = out[:len(tasks)]
-	}
+func alignBatch(cache *pool.AlignerCache, profs *pool.ProfileCache, threads int, set *seq.Set, wl workerLogic, tasks []PairItem, obs pool.Observer) ([]AlignOutcome, int64) {
+	out := make([]AlignOutcome, len(tasks))
 	var ps *pool.ProfileSet
 	if profs != nil {
 		ps = profs.NewSet()
+		defer ps.Release()
 	}
 	pool.RunChunkedObserved(threads, len(tasks), obs, func(lo, hi int) {
 		al := cache.Get()
@@ -607,9 +421,6 @@ func alignBatch(cache *pool.AlignerCache, profs *pool.ProfileCache, threads int,
 		}
 		cache.Put(al)
 	})
-	if ps != nil {
-		ps.Release()
-	}
 	var cells int64
 	for i := range out {
 		cells += out[i].Cells
@@ -617,68 +428,16 @@ func alignBatch(cache *pool.AlignerCache, profs *pool.ProfileCache, threads int,
 	return out, cells
 }
 
-// workerCaches builds the per-worker aligner and profile caches from the
-// phase config: aligners carry the configured kernel mode, and the
-// profile cache exists only when the word-parallel kernels will consume
-// profiles (it would be dead weight under -kernels=scalar or
-// -exact-align).
+// workerCaches builds a worker's aligner and profile caches; the profile
+// cache is nil under ScalarKernels, whose kernels consume no profiles.
 func workerCaches(cfg Config) (*pool.AlignerCache, *pool.ProfileCache) {
-	mode := align.KernelAuto
 	if cfg.ScalarKernels {
-		mode = align.KernelScalar
+		return pool.NewAlignerCacheKernels(cfg.Scoring, align.KernelScalar), nil
 	}
-	cache := pool.NewAlignerCacheKernels(cfg.Scoring, mode)
-	var profs *pool.ProfileCache
-	if !cfg.ScalarKernels && !cfg.ExactAlign {
-		profs = pool.NewProfileCache(cfg.Scoring)
-	}
-	return cache, profs
+	return pool.NewAlignerCache(cfg.Scoring), pool.NewProfileCache(cfg.Scoring)
 }
 
-// runWorker drives the lockstep worker loop on ranks 1..p-1.
-func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src pairProvider, cfg Config, phase string) {
-	sp := cfg.Metrics.StartSpan(phase + "/exchange")
-	defer sp.End()
-	tr := cfg.Trace
-	threads := max(1, cfg.Threads)
-	cache, profs := workerCaches(cfg)
-	obs := poolObserver(cfg.Metrics, phase, "align")
-	var results []AlignOutcome
-	exhausted := false
-	for {
-		var pairs []PairItem
-		if !exhausted {
-			pairs, exhausted = src.next(cfg.BatchPairs)
-			c.Advance(float64(len(pairs)) * cfg.Costs.SecPerPairGen)
-			var ex int64
-			if exhausted {
-				ex = 1
-			}
-			tr.Instant(trace.CatWorker, phase+"/pairgen",
-				"pairs", int64(len(pairs)), "exhausted", ex)
-		}
-		c.Send(0, tagWorker, WorkerMsg{Pairs: pairs, Exhausted: exhausted, Results: results, Request: true})
-		w0 := tr.Now()
-		msg := c.Recv(0, tagMaster).Data.(MasterMsg)
-		// The full master round-trip is dead time in lockstep: the worker
-		// holds no other work. Recording it as an explicit task-wait span
-		// is what lets trace.Analyze show the overlapped protocol's win.
-		tr.Span(trace.CatComm, "task-wait", w0, tr.Now(), "from", 0, "inflight", 0)
-		if msg.Done {
-			return
-		}
-		t0 := tr.Now()
-		var cells int64
-		results, cells = alignBatch(cache, profs, threads, set, wl, msg.Tasks, results, obs)
-		c.Advance(float64(pool.CeilDiv(cells, threads)) * cfg.Costs.SecPerCell)
-		// The span closes after Advance, so under simtime its duration is
-		// the batch's charged virtual compute.
-		tr.Span(trace.CatWorker, phase+"/align", t0, tr.Now(),
-			"tasks", int64(len(msg.Tasks)), "cells", cells)
-	}
-}
-
-// runWorkerOverlap drives the double-buffered worker loop on ranks
+// runWorker drives the double-buffered worker loop on ranks
 // 1..p-1. The worker opens PrefetchDepth requests up front and, from
 // then on, answers every non-Done reply with the next request *before*
 // aligning the batch it just received, so the master's reply to the
@@ -695,7 +454,7 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src pairProvider, cfg 
 // the alignment costs no overlap while making its piggybacked outcomes
 // as fresh as a dedicated report message would be — without doubling
 // the phase's message count.
-func runWorkerOverlap(c *mpi.Comm, set *seq.Set, wl workerLogic, src pairProvider, cfg Config, phase string) {
+func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src *pairSource, cfg Config, phase string) {
 	sp := cfg.Metrics.StartSpan(phase + "/exchange")
 	defer sp.End()
 	tr := cfg.Trace
@@ -740,22 +499,21 @@ func runWorkerOverlap(c *mpi.Comm, set *seq.Set, wl workerLogic, src pairProvide
 			return
 		}
 		t0 := tr.Now()
-		results, cells := alignBatch(cache, profs, threads, set, wl, msg.Tasks, nil, obs)
+		results, cells := alignBatch(cache, profs, threads, set, wl, msg.Tasks, obs)
 		c.Advance(float64(pool.CeilDiv(cells, threads)) * cfg.Costs.SecPerCell)
 		tr.Span(trace.CatWorker, phase+"/align", t0, tr.Now(),
 			"tasks", int64(len(msg.Tasks)), "cells", cells)
 		// Ship the finished batch's outcomes with the next request. The
 		// in-process transports hand the slice over by reference and the
 		// master absorbs it asynchronously, so ownership transfers on
-		// send — each batch allocates fresh (nil above) instead of
-		// reusing the buffer.
+		// send — which is why alignBatch allocates each batch fresh.
 		request(results)
 	}
 }
 
 // runSerial executes a whole phase on a single rank: pairs are consumed
 // in decreasing match-length order with the same filtering policy.
-func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src pairProvider, cfg Config) {
+func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src *pairSource, cfg Config) {
 	al := align.NewAligner(cfg.Scoring)
 	if cfg.ScalarKernels {
 		al.Kernels = align.KernelScalar
@@ -798,7 +556,7 @@ func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src p
 	}
 }
 
-// runPhase wires buckets, trees, and the master/worker/serial loops
+// runPhase wires buckets, pair sources and the master/worker/serial loops
 // together for one phase over the given sequence set. It returns the
 // master's stats on rank 0 (zero Stats elsewhere; callers broadcast what
 // they need). Stats are a read-out of the phase's registry counters —
@@ -822,20 +580,15 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 		for i := range own {
 			own[i] = i
 		}
-		src, err := newSource(c, set, own, buckets, cfg, phase)
+		src, err := newPairSource(c, set, own, buckets, cfg, phase)
 		if err != nil {
 			return Stats{}, err
 		}
-		// The sparse backend builds its blocks lazily inside the
-		// exchange, so its TreeTime stays ~0 — index cost shows up in
-		// PhaseTime and the pace_index_chars counter instead.
-		treeDone := c.Time()
 		sp := cfg.Metrics.StartSpan(phase + "/exchange")
 		runSerial(c, set, ms, wl, src, cfg)
 		sp.End()
 		countPriorPairs(cfg, phase, src)
 		st := ms.ctr.stats()
-		st.TreeTime = treeDone - start
 		st.PhaseTime = c.Time() - start
 		return st, nil
 	}
@@ -844,11 +597,7 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 	assign := suffixtree.AssignBuckets(buckets, p-1)
 	if c.Rank() == 0 {
 		sp := cfg.Metrics.StartSpan(phase + "/exchange")
-		if cfg.Lockstep {
-			runMaster(c, ms)
-		} else {
-			runMasterOverlap(c, ms)
-		}
+		runMaster(c, ms)
 		sp.End()
 		raw := c.ReduceInt64(0, 0, addInt64)
 		st := ms.ctr.stats()
@@ -856,19 +605,15 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 		st.PhaseTime = c.MaxFloat64(c.Time()) - start
 		return st, nil
 	}
-	src, err := newSource(c, set, assign[c.Rank()-1], buckets, cfg, phase)
+	src, err := newPairSource(c, set, assign[c.Rank()-1], buckets, cfg, phase)
 	if err != nil {
 		return Stats{}, err
 	}
-	if cfg.Lockstep {
-		runWorker(c, set, wl, src, cfg, phase)
-	} else {
-		runWorkerOverlap(c, set, wl, src, cfg, phase)
-	}
+	runWorker(c, set, wl, src, cfg, phase)
 	// The enumerating ranks own the raw-pair counter; the master's Stats
 	// read-out gets the total via the reduction below.
 	raw, _ := src.counts()
-	cfg.Metrics.Counter(rawPairsName(cfg.Index.String(), phase)).Add(raw)
+	cfg.Metrics.Counter(metrics.Name("pace_pairs_raw", "phase", phase)).Add(raw)
 	countPriorPairs(cfg, phase, src)
 	c.ReduceInt64(0, raw, addInt64)
 	c.MaxFloat64(c.Time())
@@ -881,7 +626,7 @@ func addInt64(a, b int64) int64 { return a + b }
 // suppressed because both sides predate the current epoch. The counter is
 // created lazily so cold runs (NewFrom == 0) export an unchanged metric
 // set.
-func countPriorPairs(cfg Config, phase string, src pairProvider) {
+func countPriorPairs(cfg Config, phase string, src *pairSource) {
 	if _, prior := src.counts(); prior > 0 {
 		cfg.Metrics.Counter(metrics.Name("pace_pairs_prior", "phase", phase)).Add(prior)
 	}
@@ -924,7 +669,7 @@ func redundancyRemoval(c *mpi.Comm, set *seq.Set, prior []bool, newFrom int, cfg
 	if prior != nil {
 		copy(ml.redundant, prior)
 	}
-	st, err := runPhase(c, set, ml, rrWorker{params: cfg.Contain, exact: cfg.ExactAlign}, cfg, phase)
+	st, err := runPhase(c, set, ml, rrWorker{params: cfg.Contain}, cfg, phase)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -999,7 +744,7 @@ func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, prior *unionfin
 		uf.Extend(sub.Len())
 	}
 	ml := &ccMaster{uf: uf, disableFilter: cfg.DisableClosureFilter}
-	st, err := runPhase(c, sub, ml, ccWorker{params: cfg.Overlap, exact: cfg.ExactAlign}, cfg, phase)
+	st, err := runPhase(c, sub, ml, ccWorker{params: cfg.Overlap}, cfg, phase)
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}

@@ -3,19 +3,21 @@
 // (Problem 2).
 //
 // All ranks hold the sequence set (a few MB at the scales involved; the
-// paper's distributed structure is the suffix tree, not the sequences).
-// Suffix-tree buckets are assigned to worker ranks; each worker builds its
-// subtrees locally and generates "promising pairs" — pairs of sequences
-// sharing a maximal exact match of length ≥ ψ — in decreasing
-// match-length order. The master maintains the global clustering state,
+// paper's distributed structure is the index, not the sequences).
+// Suffix buckets (suffixtree.Buckets, partitioned by prefix) are assigned
+// to worker ranks; each worker streams its buckets through the blocked
+// sparse k-mer × sequence multiply of internal/spgemm and generates
+// "promising pairs" — pairs of sequences sharing a maximal exact match of
+// length ≥ ψ — in decreasing match-length order within each accumulator
+// block. The master maintains the global clustering state,
 // filters incoming pairs (duplicate elimination plus, for CCD, the
 // transitive-closure test that skips pairs already in one cluster), and
 // dynamically assigns the surviving alignment workload back to workers.
 //
 // The same code runs serially (one rank), concurrently (inproc/tcp
 // transports), and on the virtual-time simulator, where each rank charges
-// its machine-independent work (suffix-tree characters, DP cells,
-// per-pair filter operations) to the simulated clock.
+// its machine-independent work (index characters, DP cells, per-pair
+// filter operations) to the simulated clock.
 package pace
 
 import (
@@ -35,7 +37,7 @@ import (
 // transport. The defaults are loosely calibrated to the paper's 700 MHz
 // PowerPC 440 nodes; only ratios shape the reproduced curves.
 type CostParams struct {
-	SecPerTreeChar   float64 // suffix-tree construction, per suffix character examined
+	SecPerTreeChar   float64 // index construction, per posting character examined
 	SecPerPairGen    float64 // per promising pair generated at a worker
 	SecPerCell       float64 // per alignment DP cell
 	SecPerPairFilter float64 // master-side per-pair dedup/closure work
@@ -51,76 +53,30 @@ func DefaultCostParams() CostParams {
 	}
 }
 
-// IndexKind selects the maximal-match index implementation.
-type IndexKind int
-
-const (
-	// IndexGST uses the generalized suffix tree (the paper's structure).
-	IndexGST IndexKind = iota
-	// IndexESA uses the enhanced suffix array (internal/esa), which
-	// produces the identical pair set with a flatter memory profile.
-	IndexESA
-	// IndexSparse uses the streamed sparse k-mer × sequence multiply
-	// (internal/spgemm): the identical candidate pair set at default
-	// thresholds, holding only one bucket's CSR block in memory at a
-	// time instead of every subtree of the rank's assignment.
-	IndexSparse
-)
-
-func (k IndexKind) String() string {
-	switch k {
-	case IndexESA:
-		return "esa"
-	case IndexSparse:
-		return "sparse"
-	}
-	return "gst"
-}
-
 // Config controls both phases.
 type Config struct {
 	// Psi is ψ, the minimum maximal-match length for a promising pair
 	// (default 8).
 	Psi int
-	// Index selects the maximal-match index (default IndexGST).
-	Index IndexKind
 	// PrefixLen is the suffix-tree bucketing granularity (default 2).
 	PrefixLen int
 	// SparseBlockNNZ bounds the postings gathered into one accumulator
-	// block of the IndexSparse multiply (default 4096). Block size only
+	// block of the sparse pair multiply (default 4096). Block size only
 	// affects batching and memory, never the emitted pair set.
 	SparseBlockNNZ int
-	// SparseMinShared is the IndexSparse shared-k-mer count a pair must
-	// reach within one block to become a candidate. The default 1 (any
-	// shared ψ-mer) is the setting under which the sparse candidate set
-	// equals the GST/ESA maximal-match pair set; higher values trade
-	// recall for pair volume.
-	SparseMinShared int
-	// SparseMaxRowOcc caps the distinct sequences one ψ-mer row of the
-	// IndexSparse matrix may touch (low-complexity blowup control).
-	// 0 (the default) disables the cap, preserving backend equivalence.
-	SparseMaxRowOcc int
 	// BatchPairs is how many promising pairs a worker ships to the
 	// master per round (default 4096).
 	BatchPairs int
-	// BatchTasks is how many alignment tasks the master assigns to one
-	// worker per round (default 512). Under the overlapped protocol this
-	// is the ceiling of the per-worker adaptive quota, which slow-starts
-	// at BatchTasks/8 and doubles on every productive dispatch.
+	// BatchTasks is the ceiling of the per-worker adaptive task quota
+	// (default 512), which slow-starts at BatchTasks/8 and doubles on
+	// every productive dispatch.
 	BatchTasks int
 	// PrefetchDepth is how many task requests a worker keeps in flight
-	// under the overlapped protocol (default 2): the next batch is
-	// requested before the current one is aligned, so compute overlaps
-	// the master round-trip.
+	// (default 2): the next batch is requested before the current one is
+	// aligned, so compute overlaps the master round-trip.
 	PrefetchDepth int
-	// Lockstep reverts to the global-round protocol: the master collects
-	// from every worker in rank order, then dispatches to every worker,
-	// once per round. It is the reference arm for the arrival-order
-	// invariance tests and for measuring the overlap win; the default is
-	// the event-driven arrival-order protocol.
-	Lockstep bool
-	// Threads bounds the intra-rank goroutine pool used for index
-	// construction and batch alignment (the hybrid rank×thread model).
+	// Threads bounds the intra-rank goroutine pool used for batch
+	// alignment (the hybrid rank×thread model).
 	// 0 or 1 means serial — the host-independent default, so simulated
 	// curves reproduce everywhere; the profam layer resolves its
 	// NumCPU-based auto default before handing the config down.
@@ -150,17 +106,13 @@ type Config struct {
 	// suppressed enumeration is counted under pace_pairs_prior. 0 (the
 	// default) emits every pair — the one-shot batch behavior.
 	NewFrom int
-	// ExactAlign disables the seed-anchored alignment cascade and runs
-	// every assigned pair through the full-matrix predicates. Verdicts
-	// are identical either way (the cascade only takes provably-safe
-	// shortcuts); this is the escape hatch and the reference for the
-	// determinism tests.
-	ExactAlign bool
-	// ScalarKernels disables the word-parallel alignment kernels (the
-	// bit-parallel and striped-int16 cascade stages and the batch-level
-	// profile reuse), keeping the cascade on the int32 scalar kernels
-	// only. Verdicts are identical either way; this is the reference arm
-	// for the kernel determinism tests and benchmarks.
+	// ScalarKernels keeps every alignment on the int32 scalar kernels
+	// (no bit-parallel or striped stages, no shared profiles). Verdicts
+	// are identical either way. The pipeline never sets it; its one
+	// caller is the simulated paper reproduction in internal/experiments,
+	// whose cost model prices the paper's scalar DP cells: with the
+	// cheaper word-parallel kernels the 512-rank RR phase of Table II
+	// turns master-bound and the reproduced curve loses its shape.
 	ScalarKernels bool
 	// Metrics receives every phase counter, histogram and span; it is
 	// the single accumulation path behind Stats (which is a read-out of
@@ -193,9 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SparseBlockNNZ == 0 {
 		c.SparseBlockNNZ = 4096
-	}
-	if c.SparseMinShared == 0 {
-		c.SparseMinShared = 1
 	}
 	if c.BatchTasks == 0 {
 		c.BatchTasks = 512
@@ -231,7 +180,6 @@ type Stats struct {
 	PairsPositive  int64 // alignments that passed the phase predicate
 	Cells          int64 // total DP cells across workers
 	Rounds         int64 // master–worker exchange rounds
-	TreeTime       float64
 	PhaseTime      float64
 }
 
@@ -267,8 +215,8 @@ type AlignOutcome struct {
 	A, B  int32
 	OK    bool // predicate passed
 	Which int8 // RR only: 0 if A is the contained side, 1 if B
-	// Stage records which cascade stage decided the pair (0 when the
-	// exact path ran instead; see align.Stage).
+	// Stage records which cascade stage decided the pair (see
+	// align.Stage).
 	Stage int8
 	Cells int64
 	// FullCells is what the exact full-matrix predicate would have cost,
@@ -284,8 +232,8 @@ type AlignOutcome struct {
 // WorkerMsg is the worker→master payload: the next pair batch, the
 // outcomes of the worker's most recently finished task batch, and the
 // Request marker telling the master this message is owed exactly one
-// MasterMsg reply. Both protocols currently send only requests; the
-// flag exists so a fire-and-forget report (outcomes with no reply debt)
+// MasterMsg reply. Workers currently send only requests; the flag
+// exists so a fire-and-forget report (outcomes with no reply debt)
 // stays expressible on the wire.
 type WorkerMsg struct {
 	Pairs     []PairItem
@@ -307,8 +255,8 @@ type MasterMsg struct {
 func (m MasterMsg) WireSize() int { return 16 + 20*len(m.Tasks) }
 
 // RegisterWireTypes registers the phase payloads for the TCP transport —
-// both their gob form and the compact binary frames the default
-// WireBinary format uses for the hot batch messages.
+// both their gob form and the compact binary frames the hot batch
+// messages travel in.
 func RegisterWireTypes() {
 	registerBinaryCodecs()
 	mpi.RegisterType(WorkerMsg{})
@@ -415,7 +363,6 @@ func (m *rrMaster) absorb(r AlignOutcome) {
 
 type rrWorker struct {
 	params align.ContainParams
-	exact  bool
 }
 
 func (w rrWorker) alignPair(al *align.Aligner, ps *pool.ProfileSet, set *seq.Set, p PairItem) AlignOutcome {
@@ -423,28 +370,22 @@ func (w rrWorker) alignPair(al *align.Aligner, ps *pool.ProfileSet, set *seq.Set
 	before, beforeBv, beforeSt := al.Cells, al.CellsBitvec, al.CellsStriped
 	out := AlignOutcome{A: p.A, B: p.B,
 		FullCells: int64(len(a.Res)) * int64(len(b.Res))}
-	if w.exact {
-		ok, which := al.EitherContained(a.Res, b.Res, w.params)
-		out.OK, out.Which = ok, int8(which)
-	} else {
-		seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
-		// Replicate EitherContainedCascade's shorter-into-longer
-		// orientation here so the shared profile can be fetched for the
-		// query (shorter) side — the side the word-parallel kernels
-		// profile.
-		q, t, qid := p.A, p.B, 0
-		if len(a.Res) > len(b.Res) {
-			q, t, qid = p.B, p.A, 1
-			seed = seed.Swapped()
-		}
-		var prof *align.Profile
-		qres, tres := set.Get(int(q)).Res, set.Get(int(t)).Res
-		if ps != nil {
-			prof = ps.Get(q, qres)
-		}
-		ok, stage := al.ContainedCascadeProf(qres, tres, w.params, seed, prof)
-		out.OK, out.Which, out.Stage = ok, int8(qid), int8(stage)
+	seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
+	// Replicate EitherContainedCascade's shorter-into-longer orientation
+	// here so the shared profile can be fetched for the query (shorter)
+	// side — the side the word-parallel kernels profile.
+	q, t, qid := p.A, p.B, 0
+	if len(a.Res) > len(b.Res) {
+		q, t, qid = p.B, p.A, 1
+		seed = seed.Swapped()
 	}
+	var prof *align.Profile
+	qres, tres := set.Get(int(q)).Res, set.Get(int(t)).Res
+	if ps != nil {
+		prof = ps.Get(q, qres)
+	}
+	ok, stage := al.ContainedCascadeProf(qres, tres, w.params, seed, prof)
+	out.OK, out.Which, out.Stage = ok, int8(qid), int8(stage)
 	out.Cells = al.Cells - before
 	out.CellsBitvec = al.CellsBitvec - beforeBv
 	out.CellsStriped = al.CellsStriped - beforeSt
@@ -473,7 +414,6 @@ func (m *ccMaster) absorb(r AlignOutcome) {
 
 type ccWorker struct {
 	params align.OverlapParams
-	exact  bool
 }
 
 func (w ccWorker) alignPair(al *align.Aligner, ps *pool.ProfileSet, set *seq.Set, p PairItem) AlignOutcome {
@@ -481,17 +421,13 @@ func (w ccWorker) alignPair(al *align.Aligner, ps *pool.ProfileSet, set *seq.Set
 	before, beforeBv, beforeSt := al.Cells, al.CellsBitvec, al.CellsStriped
 	out := AlignOutcome{A: p.A, B: p.B,
 		FullCells: int64(len(a.Res)) * int64(len(b.Res))}
-	if w.exact {
-		out.OK, _ = al.Overlaps(a.Res, b.Res, w.params)
-	} else {
-		seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
-		var prof *align.Profile
-		if ps != nil {
-			prof = ps.Get(p.A, a.Res)
-		}
-		ok, stage := al.OverlapsCascadeProf(a.Res, b.Res, w.params, seed, prof)
-		out.OK, out.Stage = ok, int8(stage)
+	seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
+	var prof *align.Profile
+	if ps != nil {
+		prof = ps.Get(p.A, a.Res)
 	}
+	ok, stage := al.OverlapsCascadeProf(a.Res, b.Res, w.params, seed, prof)
+	out.OK, out.Stage = ok, int8(stage)
 	out.Cells = al.Cells - before
 	out.CellsBitvec = al.CellsBitvec - beforeBv
 	out.CellsStriped = al.CellsStriped - beforeSt

@@ -319,24 +319,18 @@ func TestComponentsBySize(t *testing.T) {
 	}
 }
 
+// TestPairSourceOrderAndDedup: the worker pair stream delivers each
+// sequence pair once, in non-increasing seed length within an
+// accumulator block (on this input all three pairs come out of the
+// first bucket's block), while counting every raw occurrence. Across
+// blocks the stream is unordered; the master's task heap orders by seed
+// length.
 func TestPairSourceOrderAndDedup(t *testing.T) {
 	set := seq.NewSet()
 	set.MustAdd("a", "ACDEFGHIKLM")
 	set.MustAdd("b", "ACDEFGHIKLM")
-	set.MustAdd("c", "CDEFGHIKWWWCDEFGHIK") // motif twice: repeated raw pairs
-	trees, err := suffixtree.Build(set, suffixtree.Options{MinMatch: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := newPairSource(trees, 0)
-	var all []PairItem
-	for {
-		batch, done := src.next(2)
-		all = append(all, batch...)
-		if done {
-			break
-		}
-	}
+	set.MustAdd("c", "ACDEFGHIKWWWACDEFGHIK") // motif twice: repeated raw pairs
+	all, raw := phasePairs(t, set, Config{Psi: 3}, 2)
 	seen := map[int64]bool{}
 	last := int32(1 << 30)
 	for _, p := range all {
@@ -346,15 +340,15 @@ func TestPairSourceOrderAndDedup(t *testing.T) {
 		}
 		seen[key] = true
 		if p.Len > last {
-			t.Fatalf("pair lengths not non-increasing")
+			t.Fatalf("pair lengths not non-increasing: %v", all)
 		}
 		last = p.Len
 	}
 	if len(all) != 3 { // (a,b), (a,c), (b,c)
 		t.Errorf("got %d pairs, want 3: %v", len(all), all)
 	}
-	if src.raw <= int64(len(all)) {
-		t.Errorf("raw count %d should exceed deduped %d", src.raw, len(all))
+	if raw <= int64(len(all)) {
+		t.Errorf("raw count %d should exceed deduped %d", raw, len(all))
 	}
 }
 
@@ -413,7 +407,7 @@ func TestRunsOnInprocAndTCP(t *testing.T) {
 	}
 
 	var tcpKeep []bool
-	err = mpi.RunTCP(3, 43000, func(c *mpi.Comm) {
+	err = mpi.RunTCP(3, func(c *mpi.Comm) {
 		k, _, err := RedundancyRemoval(c, set, cfg)
 		if err != nil {
 			panic(err)

@@ -140,7 +140,7 @@ func (m WorkerMsg) AppendBinary(buf []byte) []byte {
 		}
 		f |= byte(r.Which) << 1
 		// Bit 2 marks a per-kernel cell split; the two counts ride along
-		// only then, so scalar-kernel and exact-align traffic keeps the
+		// only then, so outcomes without word-parallel cells keep the
 		// pre-kernel frame layout byte for byte.
 		if r.CellsBitvec != 0 || r.CellsStriped != 0 {
 			f |= 4

@@ -173,7 +173,6 @@ func (s *Server) flush(batch []*submission) {
 	rec := ledger.Record{
 		Epoch:        epoch,
 		Fingerprint:  pcfg.Fingerprint(),
-		PairBackend:  pcfg.Pairs.String(),
 		Submissions:  len(accepted),
 		NewSequences: len(seqs),
 	}

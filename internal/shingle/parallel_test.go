@@ -39,7 +39,7 @@ func TestDetectParallelOverTCP(t *testing.T) {
 	p := Params{S1: 3, C1: 60, S2: 3, C2: 30, MinSize: 3}
 	want, _ := Detect(g, p)
 	var got []DenseSubgraph
-	err := mpi.RunTCP(3, 43100, func(c *mpi.Comm) {
+	err := mpi.RunTCP(3, func(c *mpi.Comm) {
 		subs, _ := DetectParallel(c, g, p)
 		if c.Rank() == 1 {
 			got = subs

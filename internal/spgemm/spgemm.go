@@ -7,18 +7,27 @@
 // column per sequence; a stored entry A[r][s] packs the offset of an
 // occurrence of ψ-mer r in sequence s. The candidate set of the
 // multiply — the sequence pairs sharing at least one row — is exactly
-// the GST/ESA promising-pair set: a shared ψ-mer extends to a maximal
-// match of length ≥ ψ, and conversely any maximal match of length ≥ ψ
-// contains a shared ψ-mer at its start. Each emitted pair carries the
-// coordinates of a genuine shared ψ-mer occurrence, extended to its
-// maximal match, so the alignment cascade seeds on it unchanged.
+// the generalized-suffix-tree promising-pair set (suffixtree.MergedPairs,
+// the test oracle): a shared ψ-mer extends to a maximal match of length
+// ≥ ψ, and conversely any maximal match of length ≥ ψ contains a shared
+// ψ-mer at its start. Each emitted pair carries the coordinates of a
+// genuine shared ψ-mer occurrence, extended to its maximal match, so the
+// alignment cascade seeds on it unchanged.
 //
-// Memory is the point. The suffix-tree and suffix-array backends hold
-// every subtree of their bucket assignment alive for the whole phase;
-// this backend materializes one bucket's CSR block at a time (8 bytes
-// per posting plus 4 bytes per row boundary) and streams the product
-// through a bounded per-block accumulator, so peak index memory is the
-// largest single bucket rather than the sum of all of them.
+// Like the suffix tree, which reports each maximal match once at the
+// node of its start, a pair enters the accumulator only at rows where
+// its shared ψ-mer starts a maximal match (the residues before the two
+// occurrences differ). Every shared maximal match starts at such a row,
+// so no pair is lost, and a pair spread over many buckets is shipped
+// about once per maximal match rather than once per shared ψ-mer — the
+// duplicate volume a master filters stays near the tree's.
+//
+// Memory is the point. A suffix tree holds every subtree of its bucket
+// assignment alive for the whole phase; this source materializes one
+// bucket's CSR block at a time (8 bytes per posting plus 4 bytes per row
+// boundary) and streams the product through a bounded per-block
+// accumulator, so peak index memory is the largest single bucket rather
+// than the sum of all of them.
 //
 // Determinism: buckets arrive in the caller's (weight-sorted, rank-
 // assigned) order, rows within a bucket are sorted by k-mer bytes, the
@@ -41,7 +50,8 @@ import (
 // Options configure a Source.
 type Options struct {
 	// K is ψ — the k-mer width, which must equal the pipeline's minimum
-	// maximal-match length for the backend-equivalence argument to hold.
+	// maximal-match length for the suffix-tree equivalence argument to
+	// hold.
 	K int
 	// PrefixLen is the bucketing granularity the caller's buckets were
 	// built with; rows of a bucket share this prefix, so only the
@@ -50,20 +60,20 @@ type Options struct {
 	// BlockNNZ bounds the postings gathered into one accumulator block
 	// (default 4096). A block always contains at least one full row.
 	BlockNNZ int
-	// MinShared is the shared-k-mer count a pair must reach within one
-	// block to be emitted (default 1). Values above 1 trade recall for
-	// pair volume and break exact backend equivalence; the count is
-	// per block, not global, so a pair spread thinly across blocks may
-	// be suppressed entirely.
+	// MinShared is the count of left-maximal shared k-mers a pair must
+	// reach within one block to be emitted (default 1). Values above 1
+	// trade recall for pair volume and break suffix-tree equivalence;
+	// the count is per block, not global, so a pair spread thinly
+	// across blocks may be suppressed entirely.
 	MinShared int
 	// MaxRowOcc caps the distinct sequences a single k-mer row may
 	// touch; rows above the cap (low-complexity repeats) count their
 	// raw pairs but contribute nothing to the accumulator. 0 disables
-	// the cap, preserving backend equivalence.
+	// the cap, preserving suffix-tree equivalence.
 	MaxRowOcc int
 	// NewFrom > 0 is the incremental-epoch filter: pairs whose
 	// sequences both predate it are counted under Prior and skipped at
-	// expansion, mirroring the GST/ESA enumeration filter.
+	// expansion.
 	NewFrom int32
 }
 
@@ -98,9 +108,12 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// Hooks observe the streaming multiply; either may be nil. They fire on
+// Hooks observe the streaming multiply; any may be nil. They fire on
 // the goroutine driving Next.
 type Hooks struct {
+	// OnBucketStart fires just before one bucket's CSR block is built,
+	// so a caller can time the build.
+	OnBucketStart func()
 	// OnBucket fires after one bucket's CSR block is built: postings
 	// stored, distinct k-mer rows, and the block's resident footprint
 	// in bytes.
@@ -148,8 +161,7 @@ type accEnt struct {
 }
 
 // Source streams candidate pairs from the blocked multiply over the
-// buckets this rank owns. It is single-goroutine, like the GST/ESA
-// pair sources.
+// buckets this rank owns. It is single-goroutine.
 type Source struct {
 	set     *seq.Set
 	buckets []suffixtree.Bucket
@@ -175,8 +187,7 @@ type Source struct {
 // NewSource builds a streaming pair source over the given buckets (the
 // caller's weight-sorted bucket list, typically from
 // suffixtree.Buckets) restricted to the indices in own — the same
-// ownership lists suffixtree.AssignBuckets hands each rank, so the
-// sparse backend partitions work identically to the tree backends.
+// ownership lists suffixtree.AssignBuckets hands each rank.
 func NewSource(set *seq.Set, buckets []suffixtree.Bucket, own []int, opt Options, hooks Hooks) (*Source, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
@@ -209,6 +220,9 @@ func (s *Source) kmer(sf suffixtree.Suffix) []byte {
 // bytes then (sequence, offset) is a total order, so the row layout is
 // identical regardless of the bucket's input suffix order.
 func (s *Source) buildBucket(b suffixtree.Bucket) {
+	if s.hooks.OnBucketStart != nil {
+		s.hooks.OnBucketStart()
+	}
 	s.cur.postings = append(s.cur.postings[:0], b.Suffixes...)
 	p := s.cur.postings
 	sort.Slice(p, func(i, j int) bool {
@@ -243,7 +257,12 @@ func (s *Source) buildBucket(b suffixtree.Bucket) {
 // expandRow feeds one k-mer row's distinct-sequence occurrence list
 // into the accumulator. Counting is arithmetic over the distinct count
 // so Raw/Prior are partition-invariant; only the accumulator inserts
-// depend on the seen/dedup state.
+// depend on the seen/dedup state. A pair is inserted only when its two
+// representative occurrences are left-maximal. No pair is lost: if they
+// are not, the k-mer one residue to the left is shared too, at offsets
+// at least one lower in both sequences, so descending row by row ends
+// at a left-maximal pair or at a sequence start — in whichever rank's
+// bucket that row lies.
 func (s *Source) expandRow(r int) {
 	p := s.cur.postings[s.cur.rowStart[r]:s.cur.rowStart[r+1]]
 	// Postings within a row are sorted by (sequence, offset): compress
@@ -278,6 +297,9 @@ func (s *Source) expandRow(r int) {
 			jStart = firstNew // both-old pairs are settled by the prior epoch
 		}
 		for j := jStart; j < n; j++ {
+			if !s.leftMaximal(d[i], d[j]) {
+				continue
+			}
 			key := pairKey(d[i].Seq, d[j].Seq)
 			if s.seen[key] {
 				continue
@@ -296,10 +318,20 @@ func (s *Source) expandRow(r int) {
 	}
 }
 
-// extend grows a shared k-mer occurrence to its maximal match, so the
-// emitted seed matches what the tree backends would have anchored the
-// cascade on (the cascade's verdicts do not depend on which seed is
-// chosen — see DESIGN.md §7e — but a longer seed is a better anchor).
+// leftMaximal reports whether the shared k-mer occurrences a and b start
+// a maximal match: the residues before them differ, or one of them
+// starts its sequence.
+func (s *Source) leftMaximal(a, b suffixtree.Suffix) bool {
+	if a.Off == 0 || b.Off == 0 {
+		return true
+	}
+	return s.set.Seqs[a.Seq].Res[a.Off-1] != s.set.Seqs[b.Seq].Res[b.Off-1]
+}
+
+// extend grows a shared k-mer occurrence to its maximal match, the seed
+// a suffix tree would have anchored the cascade on (the cascade's
+// verdicts do not depend on which seed is chosen — see DESIGN.md §7e —
+// but a longer seed is a better anchor).
 func (s *Source) extend(a, b, offA, offB int32) (int32, int32, int32) {
 	ra, rb := s.set.Seqs[a].Res, s.set.Seqs[b].Res
 	endA, endB := offA+int32(s.opt.K), offB+int32(s.opt.K)
@@ -379,7 +411,7 @@ func (s *Source) advance() bool {
 }
 
 // Next returns up to max candidate pairs and whether the source is now
-// exhausted — the same contract as the tree-backed pair sources.
+// exhausted.
 func (s *Source) Next(max int) ([]suffixtree.Pair, bool) {
 	out := make([]suffixtree.Pair, 0, max)
 	for len(out) < max {
@@ -395,7 +427,7 @@ func (s *Source) Next(max int) ([]suffixtree.Pair, bool) {
 	return out, exhausted
 }
 
-// IndexPeakBytes measures the backend's peak resident index footprint
+// IndexPeakBytes measures the source's peak resident index footprint
 // over the given buckets without running the multiply: each CSR block
 // is built and discarded in turn, exactly as a streaming run would hold
 // them. It is the sparse side of the benchjson sparse_peak_bytes_ratio

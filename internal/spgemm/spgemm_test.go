@@ -207,6 +207,38 @@ func TestPartitionInvariance(t *testing.T) {
 	}
 }
 
+// TestVolumeBoundedByMaximalMatches: with every bucket streamed by its
+// own source (the worst case for local dedup), the pairs shipped in
+// total stay within the suffix tree's maximal-match occurrence count —
+// a pair crosses to the master once per maximal match, not once per
+// shared k-mer.
+func TestVolumeBoundedByMaximalMatches(t *testing.T) {
+	set := randomSet(t, 50, 19)
+	opt := Options{K: 6, PrefixLen: 2}
+	buckets, err := suffixtree.Buckets(set, suffixtree.Options{MinMatch: opt.K, PrefixLen: opt.PrefixLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped := 0
+	for i := range buckets {
+		src, err := NewSource(set, buckets, []int{i}, opt, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shipped += len(drain(t, src))
+	}
+	trees, err := suffixtree.Build(set, suffixtree.Options{MinMatch: opt.K, PrefixLen: opt.PrefixLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches := 0
+	suffixtree.MergedPairs(trees, func(suffixtree.Pair) bool { matches++; return true })
+	t.Logf("%d pairs shipped from %d single-bucket sources, %d maximal-match occurrences", shipped, len(buckets), matches)
+	if shipped == 0 || shipped > matches {
+		t.Fatalf("shipped %d pairs, want 1..%d", shipped, matches)
+	}
+}
+
 // TestBlockSizeInvariance: the emitted pair set must not depend on the
 // accumulator block bound (block boundaries only affect batching).
 func TestBlockSizeInvariance(t *testing.T) {

@@ -15,6 +15,12 @@
 // starts its sequence). Every maximal match of length ≥ MinMatch between
 // two different sequences is enumerated exactly once, at the tree node
 // whose string depth is the match length.
+//
+// In the pipeline, Buckets and AssignBuckets partition the promising-pair
+// work of phases 1 and 2 across ranks, whose pairs come from the sparse
+// multiply in internal/spgemm; trees index each bipartite-graph
+// component, and MergedPairs is the oracle the spgemm pair set is tested
+// against.
 package suffixtree
 
 import (
@@ -37,10 +43,6 @@ type Options struct {
 	// smaller).
 	PrefixLen int
 }
-
-// Validate checks the options and fills defaults; exposed for
-// alternative index builders (internal/esa) that share these options.
-func (o Options) Validate() (Options, error) { return o.withDefaults() }
 
 func (o Options) withDefaults() (Options, error) {
 	if o.MinMatch < 1 {
@@ -389,13 +391,6 @@ func (t *SubTree) Stats() TreeStats {
 	return st
 }
 
-// EmitNodePairs enumerates the pairs of node i only (callers drive their
-// own node ordering, e.g. a cross-tree merge). Returns false if fn
-// stopped the enumeration.
-func (t *SubTree) EmitNodePairs(i int, fn func(Pair) bool) bool {
-	return t.emitNodePairs(&t.Nodes[i], fn)
-}
-
 // CountPairs returns the number of pairs ForEachPair would emit.
 func (t *SubTree) CountPairs() int64 {
 	var n int64
@@ -403,10 +398,8 @@ func (t *SubTree) CountPairs() int64 {
 	return n
 }
 
-// Build constructs subtrees for all buckets serially. It is the
-// single-rank convenience path used by tests, examples and the serial
-// pipeline; the distributed path assigns buckets to ranks and calls
-// BuildBucket per rank.
+// Build constructs subtrees for all buckets serially — the path BGG's
+// per-component index and the pair-set test oracle use.
 func Build(set *seq.Set, opt Options) ([]*SubTree, error) {
 	buckets, err := Buckets(set, opt)
 	if err != nil {

@@ -67,7 +67,8 @@ func TestMetricsDeterministicAcrossThreads(t *testing.T) {
 					t.Errorf("phase %s has no time", ph.Name)
 				}
 			}
-			for _, name := range []string{"rr", "ccd", "bgg", "dsd"} {
+			// rr/index and ccd/index are the pair index's bucket builds.
+			for _, name := range []string{"rr", "ccd", "rr/index", "ccd/index", "bgg", "dsd"} {
 				if !phases[name] {
 					t.Errorf("phase %q missing from report (have %v)", name, phases)
 				}

@@ -6,16 +6,27 @@
 // The pipeline has four phases:
 //
 //  1. Redundancy removal — sequences ≥95 % contained in another sequence
-//     are dropped, using a generalized-suffix-tree maximal-match filter
-//     so that only promising pairs are ever aligned.
+//     are dropped. Only promising pairs (sharing an exact match of ≥ ψ
+//     residues) are ever aligned; they stream from a blocked sparse
+//     k-mer × sequence multiply, which yields exactly the paper's
+//     generalized-suffix-tree maximal-match pair set.
 //  2. Connected-component detection — PaCE-style master–worker
-//     clustering with union–find transitive-closure work elimination.
+//     clustering with union–find transitive-closure work elimination,
+//     served in arrival order with worker prefetch.
 //  3. Bipartite graph generation — each component is reduced to a
 //     bipartite graph, either by vertex duplication (global-similarity
 //     families) or via shared fixed-length words (domain families).
 //  4. Dense-subgraph detection — the two-pass Shingle algorithm (Gibson
 //     et al., VLDB 2005) with min-wise independent permutations extracts
 //     arbitrarily-sized dense subgraphs: the protein families.
+//
+// Every alignment in phases 1–3 runs through the seed-anchored cascade
+// (internal/align), whose zero-DP, bit-parallel, striped and banded
+// stages only take certified shortcuts: verdicts equal the full-matrix
+// DP predicates, which stay in internal/align as the test reference.
+// Hot master–worker messages travel over TCP as compact binary frames.
+// Each concern has this one implementation; there are no switches
+// between alternatives.
 //
 // Entry points: Run (serial), RunParallel (goroutine ranks over in-memory
 // message passing), and RunSimulated (deterministic virtual-time
@@ -57,47 +68,6 @@ func (r Reduction) String() string {
 		return "global-similarity"
 	}
 	return "domain-based"
-}
-
-// PairBackend selects how phases 1 and 2 enumerate promising pairs.
-// All three backends yield byte-identical families; they differ in
-// build cost and peak index memory (see DESIGN.md §7e).
-type PairBackend int
-
-const (
-	// PairsGST indexes with the generalized suffix tree — the paper's
-	// structure and the default.
-	PairsGST PairBackend = iota
-	// PairsESA indexes with the enhanced suffix array: the same pair
-	// set from flat sorted arrays instead of pointered tree nodes.
-	PairsESA
-	// PairsSparse streams candidate pairs from a blocked sparse
-	// k-mer × sequence matrix multiply (A·Aᵀ), holding only one
-	// bucket's CSR block in memory at a time.
-	PairsSparse
-)
-
-func (b PairBackend) String() string {
-	switch b {
-	case PairsESA:
-		return "esa"
-	case PairsSparse:
-		return "sparse"
-	}
-	return "gst"
-}
-
-// ParsePairBackend maps the -pairs flag values onto the backend enum.
-func ParsePairBackend(s string) (PairBackend, error) {
-	switch s {
-	case "", "gst":
-		return PairsGST, nil
-	case "esa":
-		return PairsESA, nil
-	case "sparse":
-		return PairsSparse, nil
-	}
-	return PairsGST, fmt.Errorf("profam: unknown pair backend %q (want gst, esa or sparse)", s)
 }
 
 // Config holds every user-visible knob, with the paper's defaults.
@@ -163,8 +133,8 @@ type Config struct {
 	BatchPairs, BatchTasks int
 
 	// ThreadsPerRank bounds the goroutine pool each rank fans its
-	// embarrassingly-parallel work out over (alignment batches, index
-	// construction, per-component phase 3+4 jobs) — the hybrid
+	// embarrassingly-parallel work out over (alignment batches,
+	// per-component phase 3+4 jobs) — the hybrid
 	// rank×thread execution model. 0 means auto: the wall-clock entry
 	// points (Run, RunFASTA, RunParallel, RunSet) resolve it to
 	// max(1, NumCPU/ranks), while RunSimulated keeps the paper's
@@ -173,40 +143,6 @@ type Config struct {
 	// budget. Results are byte-identical for every value; only execution
 	// time changes.
 	ThreadsPerRank int
-
-	// Pairs selects the promising-pair generation backend: PairsGST
-	// (the paper's generalized suffix tree), PairsESA (enhanced suffix
-	// array — same pair set, flatter memory profile) or PairsSparse
-	// (streamed sparse k-mer matrix multiply — same candidate set,
-	// peak index memory bounded by one bucket instead of the full
-	// assignment). Families are byte-identical across backends.
-	Pairs PairBackend
-
-	// Lockstep reverts the master–worker phases to the synchronous
-	// round-robin protocol (master serves ranks 1..p-1 in a fixed cycle,
-	// workers block on each reply before aligning). The default is the
-	// overlapped protocol: arrival-order service, worker prefetch and an
-	// adaptive task quota. Lockstep is the reference arm for the
-	// order-invariance tests and the baseline for measuring the overlap
-	// win; at p > 2 it is also the only protocol whose service order is
-	// content-deterministic, which some metric-identity tests rely on.
-	Lockstep bool
-
-	// ExactAlign disables the seed-anchored alignment cascade everywhere
-	// (RR, CCD and B_d edge discovery), running every promising pair
-	// through the full-matrix DP predicates. Families and canonical
-	// metrics are identical either way — the cascade only takes
-	// certified shortcuts — so this is purely an escape hatch and the
-	// reference arm for the determinism tests.
-	ExactAlign bool
-
-	// ScalarKernels disables the word-parallel alignment kernels (the
-	// bit-parallel and striped-int16 cascade stages and the batch-level
-	// profile reuse) everywhere the cascade runs, keeping it on the int32
-	// scalar kernels. Families and canonical metrics are identical either
-	// way; this is the reference arm for the kernel determinism tests and
-	// the -kernels benchmark comparisons.
-	ScalarKernels bool
 
 	// TraceCapacity enables event-level tracing: each rank records up to
 	// this many protocol and communication events into a bounded ring
@@ -293,21 +229,17 @@ func (c Config) withDefaults() Config {
 }
 
 // epochFingerprint canonicalizes every knob that influences family
-// output, plus the pair backend. Incremental epochs refuse to extend
-// state built under a different fingerprint: the determinism contract
-// (incremental == byte-identical to cold) only holds when all epochs
-// agree on these. Execution-shape knobs (threads, batching, protocol,
-// kernels) are deliberately excluded — families are certified identical
-// across them. The pair backend is family-identical too, but it is
-// included anyway: a service that drifts backends mid-stream would mix
-// per-backend metric series and memory behavior across epochs, so the
-// drift is rejected up front instead.
+// output. Incremental epochs refuse to extend state built under a
+// different fingerprint: the determinism contract (incremental ==
+// byte-identical to cold) only holds when all epochs agree on these.
+// Execution-shape knobs (threads, batching) are deliberately excluded —
+// families are certified identical across them.
 func (c Config) epochFingerprint() string {
 	d := c.withDefaults()
-	return fmt.Sprintf("psi=%d ci=%g cc=%g os=%g oc=%g es=%g red=%d w=%d s1=%d c1=%d s2=%d c2=%d tau=%g mc=%d mf=%d seed=%d pairs=%s shards=%d sb=%d sr=%d ss=%d",
+	return fmt.Sprintf("psi=%d ci=%g cc=%g os=%g oc=%g es=%g red=%d w=%d s1=%d c1=%d s2=%d c2=%d tau=%g mc=%d mf=%d seed=%d shards=%d sb=%d sr=%d ss=%d",
 		d.Psi, d.ContainIdentity, d.ContainCoverage, d.OverlapSimilarity, d.OverlapCoverage,
 		d.EdgeSimilarity, d.Reduction, d.W, d.S1, d.C1, d.S2, d.C2, d.Tau,
-		d.MinComponentSize, d.MinFamilySize, d.Seed, d.Pairs,
+		d.MinComponentSize, d.MinFamilySize, d.Seed,
 		d.Shards, d.ShardBands, d.ShardRows, d.ShardSeed)
 }
 
@@ -318,36 +250,21 @@ func (c Config) epochFingerprint() string {
 func (c Config) Fingerprint() string { return c.epochFingerprint() }
 
 func (c Config) paceConfig() pace.Config {
-	var idx pace.IndexKind
-	switch c.Pairs {
-	case PairsESA:
-		idx = pace.IndexESA
-	case PairsSparse:
-		idx = pace.IndexSparse
-	default:
-		idx = pace.IndexGST
-	}
 	return pace.Config{
-		Psi:           c.Psi,
-		Index:         idx,
-		BatchPairs:    c.BatchPairs,
-		BatchTasks:    c.BatchTasks,
-		Threads:       c.ThreadsPerRank,
-		Contain:       align.ContainParams{MinIdentity: c.ContainIdentity, MinCoverage: c.ContainCoverage},
-		Overlap:       align.OverlapParams{MinSimilarity: c.OverlapSimilarity, MinLongCoverage: c.OverlapCoverage},
-		ExactAlign:    c.ExactAlign,
-		ScalarKernels: c.ScalarKernels,
-		Lockstep:      c.Lockstep,
+		Psi:        c.Psi,
+		BatchPairs: c.BatchPairs,
+		BatchTasks: c.BatchTasks,
+		Threads:    c.ThreadsPerRank,
+		Contain:    align.ContainParams{MinIdentity: c.ContainIdentity, MinCoverage: c.ContainCoverage},
+		Overlap:    align.OverlapParams{MinSimilarity: c.OverlapSimilarity, MinLongCoverage: c.OverlapCoverage},
 	}
 }
 
 func (c Config) bipartiteConfig() bipartite.Config {
 	return bipartite.Config{
-		Psi:           c.Psi,
-		Edge:          align.OverlapParams{MinSimilarity: c.EdgeSimilarity, MinLongCoverage: c.OverlapCoverage},
-		W:             c.W,
-		ExactAlign:    c.ExactAlign,
-		ScalarKernels: c.ScalarKernels,
+		Psi:  c.Psi,
+		Edge: align.OverlapParams{MinSimilarity: c.EdgeSimilarity, MinLongCoverage: c.OverlapCoverage},
+		W:    c.W,
 	}
 }
 

@@ -36,7 +36,7 @@ import (
 //     recall is exact — LSH banding only decides placement, never recall.
 //  3. Per-shard RR, then CCD (rank groups): group g = ranks ≡ g (mod G)
 //     serves shards ≡ g (mod G) sequentially, each shard an unchanged
-//     master–worker phase (any pair backend) over the shard's subset.
+//     master–worker phase over the shard's subset.
 //  4. Boundary merge (world comm): cross-shard candidates surviving a
 //     static filter against the per-shard verdicts are aligned in place
 //     on each owning rank; positive verdicts gather on rank 0, where RR
@@ -142,7 +142,6 @@ func addStats(a, b pace.Stats) pace.Stats {
 	a.PairsPositive += b.PairsPositive
 	a.Cells += b.Cells
 	a.Rounds += b.Rounds
-	a.TreeTime += b.TreeTime
 	return a
 }
 
@@ -183,7 +182,7 @@ func shardAssignments(c, sub *mpi.Comm, G int, set *seq.Set, cfg Config, costs p
 			d.Hash = append(d.Hash, po.Hash)
 		}
 	}
-	// Hashing cost mirrors the suffix-tree char calibration; permutation
+	// Hashing cost mirrors the index char calibration; permutation
 	// evaluations are priced like the dense-subgraph phase's min-hash ops.
 	c.Advance(float64(sigChars)*costs.SecPerTreeChar + float64(sigOps)*secPerShingleOp)
 

@@ -1,7 +1,8 @@
 package profam_test
 
 import (
-	"errors"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -11,55 +12,74 @@ import (
 	"profam/internal/workload"
 )
 
-// TestSparseBackendMatchesGST is the backend determinism contract: the
-// sparse-matrix pair backend must produce byte-identical families, keep
-// masks and components to the GST and ESA backends on the integration
-// corpus, across rank and thread counts. The candidate pair *sets* are
-// identical across backends and every downstream result is an
-// order-invariant closure of per-pair verdicts, so nothing may differ.
-func TestSparseBackendMatchesGST(t *testing.T) {
+// Reference digests of resultDigest on the test corpora (Psi 6, minimum
+// component and family size 3, simulator). They were recorded from the
+// generalized-suffix-tree pair backend, with the full-DP predicates and
+// with the scalar alignment kernels alike, at 1, 2 and 4 ranks, before
+// those alternatives were retired; every one of those runs produced the
+// same digest. They pin the one remaining path to the references.
+const (
+	integrationDigest = "ad60c50fdeb86826"
+	plantedDigest     = "2fa269c4cac8805c"
+	datagenDigest     = "7bcb54372380b853"
+)
+
+// resultDigest fingerprints the outputs the equivalence contract
+// covers: families, the redundancy-removal keep mask and the components.
+func resultDigest(res *profam.Result) string {
+	h := sha256.Sum256([]byte(fmt.Sprint(res.Families, res.Keep, res.Components)))
+	return hex.EncodeToString(h[:8])
+}
+
+// integrationRuns memoizes simulator runs of the integration corpus by
+// (ranks, threads), so the tests asserting different properties of the
+// same runs pay for each run once.
+var integrationRuns = map[[2]int]*profam.Result{}
+
+func integrationRun(t *testing.T, p, threads int) *profam.Result {
+	t.Helper()
+	key := [2]int{p, threads}
+	if res, ok := integrationRuns[key]; ok {
+		return res
+	}
 	set, _ := integrationSet()
-	base := profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3, Lockstep: true}
-	ref, _, err := profam.RunSet(set, 1, true, base)
+	cfg := profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3, ThreadsPerRank: threads}
+	res, _, err := profam.RunSet(set, p, true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	integrationRuns[key] = res
+	return res
+}
+
+// TestSparseBackendMatchesGST is the pair-generation contract: the
+// sparse-matrix pair source must reproduce the families, keep mask and
+// components the generalized-suffix-tree backend produced on the
+// integration corpus, across rank and thread counts. (The candidate pair
+// sets are equal — internal/spgemm and internal/pace test that against
+// suffixtree.MergedPairs — and every downstream result is a closure of
+// per-pair verdicts.)
+func TestSparseBackendMatchesGST(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		for _, threads := range []int{1, 4} {
 			t.Run(fmt.Sprintf("ranks=%d/threads=%d", p, threads), func(t *testing.T) {
-				results := map[profam.PairBackend]*profam.Result{}
-				for _, b := range []profam.PairBackend{profam.PairsGST, profam.PairsESA, profam.PairsSparse} {
-					cfg := base
-					cfg.Pairs = b
-					cfg.ThreadsPerRank = threads
-					res, _, err := profam.RunSet(set, p, true, cfg)
-					if err != nil {
-						t.Fatalf("%s: %v", b, err)
-					}
-					results[b] = res
-					if fmt.Sprint(res.Families) != fmt.Sprint(ref.Families) {
-						t.Fatalf("%s backend changed the families", b)
-					}
-					if fmt.Sprint(res.Keep) != fmt.Sprint(ref.Keep) {
-						t.Fatalf("%s backend changed the keep mask", b)
-					}
-					if fmt.Sprint(res.Components) != fmt.Sprint(ref.Components) {
-						t.Fatalf("%s backend changed the components", b)
-					}
+				res := integrationRun(t, p, threads)
+				if d := resultDigest(res); d != integrationDigest {
+					t.Fatalf("result digest %s, want the suffix-tree reference %s", d, integrationDigest)
 				}
-				// The sparse run must export its per-backend index
-				// footprint and the phase-boundary heap probe.
-				sp := results[profam.PairsSparse].Metrics
-				if sp.GaugeValue("pace_index_bytes{backend=sparse,phase=rr}") <= 0 {
-					t.Error("sparse run exported no pace_index_bytes for rr")
+				// The run must export its index footprint, the raw pair
+				// count and the phase-boundary heap probe.
+				rep := res.Metrics
+				if rep.GaugeValue("pace_index_bytes{phase=rr}") <= 0 {
+					t.Error("no pace_index_bytes for rr")
 				}
-				if sp.CounterValue("pace_pairs_raw{backend=sparse,phase=rr}") <= 0 {
-					t.Error("sparse run exported no backend-labeled raw pair counter")
+				if rep.CounterValue("pace_pairs_raw{phase=rr}") <= 0 {
+					t.Error("no raw pair counter for rr")
 				}
-				if sp.GaugeValue(metrics.HeapPeakGauge) <= 0 {
+				if rep.GaugeValue(metrics.HeapPeakGauge) <= 0 {
 					t.Error("no pipeline_heap_peak_bytes probe recorded")
 				}
-				if sp.Canonical().GaugeValue(metrics.HeapPeakGauge) != 0 {
+				if rep.Canonical().GaugeValue(metrics.HeapPeakGauge) != 0 {
 					t.Error("canonical report kept the machine-derived heap gauge")
 				}
 			})
@@ -67,16 +87,16 @@ func TestSparseBackendMatchesGST(t *testing.T) {
 	}
 }
 
-// TestBackendEquivalenceProperty sweeps planted and datagen-style
-// corpora × backends × p∈{1,2} × threads∈{1,4}, asserting byte-identical
-// families and keep masks against the GST reference on each corpus.
+// TestBackendEquivalenceProperty sweeps a planted and a datagen-style
+// corpus × p∈{1,2} × threads∈{1,4}, asserting the families, keep masks
+// and components the suffix-tree backend produced on each corpus.
 func TestBackendEquivalenceProperty(t *testing.T) {
 	corpora := []struct {
-		name string
-		set  *seq.Set
+		name, digest string
+		set          *seq.Set
 	}{
-		{"planted", plantedSet(t)},
-		{"datagen", func() *seq.Set {
+		{"planted", plantedDigest, plantedSet(t)},
+		{"datagen", datagenDigest, func() *seq.Set {
 			// The ci.sh e2e corpus parameters.
 			s, _ := workload.Generate(workload.Params{
 				Families: 6, MeanFamilySize: 10, MeanLength: 110,
@@ -87,29 +107,19 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 	}
 	base := profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3}
 	for _, corpus := range corpora {
-		ref, _, err := profam.RunSet(corpus.set, 1, true, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range []profam.PairBackend{profam.PairsESA, profam.PairsSparse} {
-			for _, p := range []int{1, 2} {
-				for _, threads := range []int{1, 4} {
-					t.Run(fmt.Sprintf("%s/%s/ranks=%d/threads=%d", corpus.name, b, p, threads), func(t *testing.T) {
-						cfg := base
-						cfg.Pairs = b
-						cfg.ThreadsPerRank = threads
-						res, _, err := profam.RunSet(corpus.set, p, true, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if fmt.Sprint(res.Families) != fmt.Sprint(ref.Families) {
-							t.Fatal("families differ from the GST reference")
-						}
-						if fmt.Sprint(res.Keep) != fmt.Sprint(ref.Keep) {
-							t.Fatal("keep mask differs from the GST reference")
-						}
-					})
-				}
+		for _, p := range []int{1, 2} {
+			for _, threads := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/sparse/ranks=%d/threads=%d", corpus.name, p, threads), func(t *testing.T) {
+					cfg := base
+					cfg.ThreadsPerRank = threads
+					res, _, err := profam.RunSet(corpus.set, p, true, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := resultDigest(res); d != corpus.digest {
+						t.Fatalf("result digest %s, want the suffix-tree reference %s", d, corpus.digest)
+					}
+				})
 			}
 		}
 	}
@@ -139,30 +149,4 @@ func plantedSet(t *testing.T) *seq.Set {
 	set.MustAdd("", "WWYYAACCDDEEFFGGHHKKWWYYAACCDDEE")
 	set.MustAdd("", "PPQQRRSSTTVVWWYYPPQQRRSSTTVVWWYY")
 	return set
-}
-
-// TestEpochBackendDriftRejected: an incremental epoch may not switch
-// pair backends mid-service — the fingerprint guard must reject it.
-func TestEpochBackendDriftRejected(t *testing.T) {
-	set := plantedSet(t)
-	var names, seqs []string
-	for _, s := range set.Seqs {
-		names = append(names, s.Name)
-		seqs = append(seqs, string(s.Res))
-	}
-	cfg := profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3, Pairs: profam.PairsSparse}
-	_, st, err := profam.RunEpoch(nil, names[:10], seqs[:10], 1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drift := cfg
-	drift.Pairs = profam.PairsGST
-	_, _, err = profam.RunEpoch(st, names[10:], seqs[10:], 1, drift)
-	if !errors.Is(err, profam.ErrConfigChanged) {
-		t.Fatalf("backend drift accepted: err=%v", err)
-	}
-	// Staying on the same backend must still commit.
-	if _, _, err := profam.RunEpoch(st, names[10:], seqs[10:], 1, cfg); err != nil {
-		t.Fatal(err)
-	}
 }
