@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the repo's verification gate.
 #
-#   ./ci.sh             gofmt + vet + build + tests + race-detector pass
+#   ./ci.sh             gofmt + vet + build + tests + race-detector pass,
+#                       then vet + tests of the perfbench module
 #   ./ci.sh bench       additionally regenerate BENCH_results.json
 #   ./ci.sh benchcheck  bench-regression gate: compare against the checked-in
 #                       BENCH_results.json, failing on >20% kernel slowdown,
@@ -251,6 +252,12 @@ go test ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+# perfbench is its own module (it builds against this checkout through a
+# replace directive), so the root ./... never compiles it; vet and test
+# it explicitly so a public-API change cannot break the benchmark unseen.
+echo "== perfbench module: go vet + go test =="
+(cd perfbench && go vet ./... && go test ./...)
 
 if [ "${1:-}" = "bench" ]; then
 	echo "== benchmarks -> BENCH_results.json =="

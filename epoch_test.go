@@ -134,7 +134,7 @@ func TestIncrementalDemotionFallback(t *testing.T) {
 		t.Fatal("corpus generated no contained fragments")
 	}
 
-	cold, err := profam.Run(rn, rs, profam.Config{})
+	cold, err := profam.RunParallel(1, rn, rs, profam.Config{})
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}

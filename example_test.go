@@ -6,9 +6,9 @@ import (
 	"profam"
 )
 
-// ExampleRun clusters six sequences into two families with the one-call
+// ExampleRunParallel clusters six sequences into two families with the one-call
 // API.
-func ExampleRun() {
+func ExampleRunParallel() {
 	names := []string{"kinA", "kinB", "traA", "traB", "traC", "orphan"}
 	seqs := []string{
 		"MKLVINGKTLKGEITVEAPKSGWHHHQELVKWAKEGAELTSGGSNRWTQDYLLK",
@@ -18,7 +18,7 @@ func ExampleRun() {
 		"GWEVRDTHKSEIAHRYNDLGEEHFKGLVLVAYSQYLQECPFDEHIKLAKEVTEF",
 		"PPGFSPEEAYVIKSGARICNLDNAWDAGEGQNTIPGMKKYWPLLL",
 	}
-	res, err := profam.Run(names, seqs, profam.Config{
+	res, err := profam.RunParallel(1, names, seqs, profam.Config{
 		Psi: 6, MinComponentSize: 2, MinFamilySize: 2,
 	})
 	if err != nil {

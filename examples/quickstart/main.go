@@ -31,7 +31,7 @@ func main() {
 		"PPGFSPEEAYVIKSGARICNLDNAWDAGEGQNTIPGMKKYWPLLL",
 	}
 
-	res, err := profam.Run(names, seqs, profam.Config{
+	res, err := profam.RunParallel(1, names, seqs, profam.Config{
 		Psi:              6, // tiny inputs: loosen the match filter
 		MinComponentSize: 2,
 		MinFamilySize:    2,

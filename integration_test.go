@@ -116,7 +116,11 @@ func TestFASTAToPipelineFlow(t *testing.T) {
 	if err := seq.WriteFASTA(&buf, set, 60); err != nil {
 		t.Fatal(err)
 	}
-	res, err := profam.RunFASTA(&buf, profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3})
+	parsed, err := seq.ReadFASTA(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := profam.RunSet(parsed, 1, false, profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,10 @@
 //
 // Edges for B_d are discovered with the same maximal-match filter the
 // clustering phases use (a modified PaCE pass without clustering, per the
-// paper): only pairs sharing a ≥ψ maximal match are aligned against the
-// edge similarity cutoff.
+// paper): the component's promising pairs — those sharing a ≥ψ maximal
+// match — stream once from the sparse k-mer × sequence multiply of
+// internal/spgemm, and each is aligned against the edge similarity
+// cutoff.
 package bipartite
 
 import (
@@ -23,6 +25,7 @@ import (
 	"profam/internal/align"
 	"profam/internal/pool"
 	"profam/internal/seq"
+	"profam/internal/spgemm"
 	"profam/internal/suffixtree"
 )
 
@@ -145,7 +148,7 @@ func BuildBd(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error
 	}
 
 	sub, _ := set.Subset(sorted)
-	trees, err := suffixtree.Build(sub, suffixtree.Options{MinMatch: cfg.Psi})
+	buckets, err := suffixtree.Buckets(sub, suffixtree.Options{MinMatch: cfg.Psi})
 	if err != nil {
 		return nil, BuildStats{}, err
 	}
@@ -155,23 +158,20 @@ func BuildBd(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error
 	// edge-discovery sweep instead of rebuilt per pair.
 	profs := pool.NewProfileCache(cfg.Scoring).NewSet()
 	defer profs.Release()
-	seen := map[int64]bool{}
 	var st BuildStats
-	suffixtree.MergedPairs(trees, func(p suffixtree.Pair) bool {
-		key := int64(p.SeqA)<<32 | int64(uint32(p.SeqB))
-		if seen[key] {
-			return true
-		}
-		seen[key] = true
-		st.PairsAligned++
-		a, b := sub.Get(int(p.SeqA)).Res, sub.Get(int(p.SeqB)).Res
-		seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
-		if ok, _ := al.OverlapsCascadeProf(a, b, cfg.Edge, seed, profs.Get(p.SeqA, a)); ok {
-			g.Adj[p.SeqA] = append(g.Adj[p.SeqA], p.SeqB)
-			g.Adj[p.SeqB] = append(g.Adj[p.SeqB], p.SeqA)
-		}
-		return true
-	})
+	err = spgemm.Drain(sub, buckets, suffixtree.AssignBuckets(buckets, 1)[0],
+		spgemm.Options{K: cfg.Psi}, spgemm.Hooks{}, func(p suffixtree.Pair) {
+			st.PairsAligned++
+			a, b := sub.Get(int(p.SeqA)).Res, sub.Get(int(p.SeqB)).Res
+			seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
+			if ok, _ := al.OverlapsCascadeProf(a, b, cfg.Edge, seed, profs.Get(p.SeqA, a)); ok {
+				g.Adj[p.SeqA] = append(g.Adj[p.SeqA], p.SeqB)
+				g.Adj[p.SeqB] = append(g.Adj[p.SeqB], p.SeqA)
+			}
+		})
+	if err != nil {
+		return nil, BuildStats{}, err
+	}
 	// Add a self edge to every non-isolated vertex. In B_d the two sides
 	// duplicate the same sequences, and without (i,i) the out-link sets
 	// of two family members always differ by exactly their own two

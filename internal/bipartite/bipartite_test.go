@@ -217,8 +217,9 @@ func TestGraphStats(t *testing.T) {
 
 // TestBuildBdEdgesMatchExactOverlaps: on a multi-family component with
 // both accepted and rejected candidates, BuildBd's adjacency (built
-// through the alignment cascade) equals the one the full-DP Overlaps
-// predicate gives over the same suffix-tree candidate pairs.
+// through the alignment cascade over the sparse pair stream) equals the
+// one the full-DP Overlaps predicate gives over the suffix-tree oracle's
+// candidate pairs, and it aligns each oracle pair exactly once.
 func TestBuildBdEdgesMatchExactOverlaps(t *testing.T) {
 	set, _ := workload.Generate(workload.Params{
 		Families: 3, MeanFamilySize: 8, MeanLength: 110,
@@ -229,7 +230,7 @@ func TestBuildBdEdgesMatchExactOverlaps(t *testing.T) {
 		members[i] = i
 	}
 	cfg := Config{Psi: 6}
-	g, _, err := BuildBd(set, members, cfg)
+	g, bst, err := BuildBd(set, members, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,5 +269,8 @@ func TestBuildBdEdgesMatchExactOverlaps(t *testing.T) {
 	}
 	if fmt.Sprint(g.Adj) != fmt.Sprint(want) {
 		t.Fatalf("BuildBd edges differ from the full-DP Overlaps edge set:\ngot  %v\nwant %v", g.Adj, want)
+	}
+	if bst.PairsAligned != int64(len(seen)) {
+		t.Fatalf("BuildBd aligned %d pairs, the oracle has %d distinct promising pairs", bst.PairsAligned, len(seen))
 	}
 }

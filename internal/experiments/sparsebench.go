@@ -16,22 +16,10 @@ func PairGenSparseKernel(set *seq.Set, psi int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	own := make([]int, len(buckets))
-	for i := range own {
-		own[i] = i
-	}
-	src, err := spgemm.NewSource(set, buckets, own, spgemm.Options{K: psi}, spgemm.Hooks{})
-	if err != nil {
-		return 0, err
-	}
 	n := 0
-	for {
-		ps, done := src.Next(256)
-		n += len(ps)
-		if done {
-			return n, nil
-		}
-	}
+	err = spgemm.Drain(set, buckets, suffixtree.AssignBuckets(buckets, 1)[0],
+		spgemm.Options{K: psi}, spgemm.Hooks{}, func(suffixtree.Pair) { n++ })
+	return n, err
 }
 
 // SparsePeakBytesRatio compares the peak index memory of a generalized

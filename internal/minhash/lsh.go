@@ -1,6 +1,6 @@
 package minhash
 
-import "sort"
+import "slices"
 
 // LSH support for similarity sharding: per-sequence MinHash signatures
 // over ψ-mer shingles, banded into shard buckets (Sunarso et al.'s
@@ -37,15 +37,8 @@ func NewFamilyFixed(c int, seed uint64) *Family {
 	return f
 }
 
-// Posting is one distinct ψ-mer of a sequence: the 64-bit FNV-1a hash of
-// the window and the offset of its first occurrence.
-type Posting struct {
-	Hash uint64
-	Off  int32
-}
-
 // KmerHash is FNV-1a over the window bytes — the shingle hash behind
-// both the MinHash signatures and the cross-shard candidate index.
+// the MinHash signatures of shard placement.
 func KmerHash(w []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -59,47 +52,32 @@ func KmerHash(w []byte) uint64 {
 	return h
 }
 
-// KmerPostings returns the distinct ψ-mers of res as postings sorted by
-// ascending hash (ties by offset), each carrying its first-occurrence
-// offset. Sequences shorter than psi have no postings.
-func KmerPostings(res []byte, psi int) []Posting {
+// KmerHashes returns the distinct ψ-mer hashes of res in ascending
+// order. Sequences shorter than psi have none.
+func KmerHashes(res []byte, psi int) []uint64 {
 	if len(res) < psi || psi <= 0 {
 		return nil
 	}
-	out := make([]Posting, 0, len(res)-psi+1)
+	out := make([]uint64, 0, len(res)-psi+1)
 	for i := 0; i+psi <= len(res); i++ {
-		out = append(out, Posting{Hash: KmerHash(res[i : i+psi]), Off: int32(i)})
+		out = append(out, KmerHash(res[i:i+psi]))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hash != out[j].Hash {
-			return out[i].Hash < out[j].Hash
-		}
-		return out[i].Off < out[j].Off
-	})
-	// Deduplicate, keeping the first (smallest-offset) occurrence.
-	w := 0
-	for i := range out {
-		if i == 0 || out[i].Hash != out[w-1].Hash {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// Signature computes the MinHash signature of a posting set under the
-// family: sig[j] is the minimum of Perms[j].Apply over the posting
-// hashes, or MersennePrime61 (an unreachable sentinel — Apply is always
+// Signature computes the MinHash signature of a ψ-mer hash set under
+// the family: sig[j] is the minimum of Perms[j].Apply over the hashes, or MersennePrime61 (an unreachable sentinel — Apply is always
 // < p) when the set is empty. sig is reused if large enough.
-func (f *Family) Signature(postings []Posting, sig []uint64) []uint64 {
+func (f *Family) Signature(hashes []uint64, sig []uint64) []uint64 {
 	if cap(sig) < len(f.Perms) {
 		sig = make([]uint64, len(f.Perms))
 	}
 	sig = sig[:len(f.Perms)]
 	for j, pm := range f.Perms {
 		min := uint64(MersennePrime61)
-		for _, po := range postings {
-			if h := pm.Apply(po.Hash); h < min {
+		for _, x := range hashes {
+			if h := pm.Apply(x); h < min {
 				min = h
 			}
 		}

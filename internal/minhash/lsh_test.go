@@ -1,6 +1,7 @@
 package minhash
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -33,36 +34,31 @@ func TestNewFamilyFixedDeterministic(t *testing.T) {
 	}
 }
 
-func TestKmerPostings(t *testing.T) {
-	res := []byte("ABCABCAB")
-	ps := KmerPostings(res, 3)
-	// Distinct 3-mers: ABC (off 0), BCA (1), CAB (2) — repeats keep the
-	// first offset only.
-	if len(ps) != 3 {
-		t.Fatalf("got %d postings, want 3: %v", len(ps), ps)
+func TestKmerHashes(t *testing.T) {
+	hs := KmerHashes([]byte("ABCABCAB"), 3)
+	// Distinct 3-mers: ABC, BCA, CAB — repeats count once.
+	if len(hs) != 3 {
+		t.Fatalf("got %d hashes, want 3: %v", len(hs), hs)
 	}
-	seen := map[uint64]int32{}
-	for i, p := range ps {
-		if i > 0 && ps[i-1].Hash >= p.Hash {
-			t.Fatalf("postings not strictly ascending by hash: %v", ps)
+	for i := 1; i < len(hs); i++ {
+		if hs[i-1] >= hs[i] {
+			t.Fatalf("hashes not strictly ascending: %v", hs)
 		}
-		seen[p.Hash] = p.Off
 	}
-	if off, ok := seen[KmerHash([]byte("ABC"))]; !ok || off != 0 {
-		t.Fatalf("ABC first occurrence: got %d", off)
+	for _, w := range []string{"ABC", "BCA", "CAB"} {
+		if _, ok := slices.BinarySearch(hs, KmerHash([]byte(w))); !ok {
+			t.Fatalf("%s missing from %v", w, hs)
+		}
 	}
-	if off, ok := seen[KmerHash([]byte("CAB"))]; !ok || off != 2 {
-		t.Fatalf("CAB first occurrence: got %d", off)
-	}
-	if got := KmerPostings([]byte("AB"), 3); got != nil {
-		t.Fatalf("short sequence should have no postings, got %v", got)
+	if got := KmerHashes([]byte("AB"), 3); got != nil {
+		t.Fatalf("short sequence should have no hashes, got %v", got)
 	}
 }
 
 func TestSignatureAndBands(t *testing.T) {
 	f := NewFamilyFixed(8, 7)
-	pa := KmerPostings([]byte("MKVLATTRWQPLDNSEAGHIKF"), 8)
-	pb := KmerPostings([]byte("MKVLATTRWQPLDNSEAGHIKF"), 8)
+	pa := KmerHashes([]byte("MKVLATTRWQPLDNSEAGHIKF"), 8)
+	pb := KmerHashes([]byte("MKVLATTRWQPLDNSEAGHIKF"), 8)
 	sa := f.Signature(pa, nil)
 	sb := f.Signature(pb, nil)
 	for j := range sa {
@@ -91,7 +87,7 @@ func TestSignatureAndBands(t *testing.T) {
 	}
 	// A different sequence must (with these fixed seeds) land elsewhere in
 	// at least one band.
-	pc := KmerPostings([]byte("GGGGGGGGGGGGGGGGGGGGGG"), 8)
+	pc := KmerHashes([]byte("GGGGGGGGGGGGGGGGGGGGGG"), 8)
 	bc := BandBuckets(f.Signature(pc, nil), 4, 2, nil)
 	diff := false
 	for t2 := range ba {

@@ -576,11 +576,7 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 	ms := newMasterState(ml, cfg, phase)
 
 	if p == 1 {
-		own := make([]int, len(buckets))
-		for i := range own {
-			own[i] = i
-		}
-		src, err := newPairSource(c, set, own, buckets, cfg, phase)
+		src, err := newPairSource(c, set, suffixtree.AssignBuckets(buckets, 1)[0], buckets, cfg, phase)
 		if err != nil {
 			return Stats{}, err
 		}
@@ -749,20 +745,9 @@ func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, prior *unionfin
 		return nil, nil, Stats{}, err
 	}
 
-	comp := make([]int32, set.Len())
+	var comp []int32
 	if c.Rank() == 0 {
-		for i := range comp {
-			comp[i] = -1
-		}
-		// Label components by their smallest original member ID.
-		rootLabel := make(map[int]int32)
-		for subID := 0; subID < sub.Len(); subID++ {
-			r := ml.uf.Find(subID)
-			if _, ok := rootLabel[r]; !ok {
-				rootLabel[r] = int32(orig[subID]) // first visit = smallest subID = smallest orig
-			}
-			comp[orig[subID]] = rootLabel[r]
-		}
+		comp = LabelComponents(ml.uf, orig, set.Len())
 	}
 	comp = c.Bcast(0, comp).([]int32)
 	st = broadcastStats(c, st)
@@ -771,6 +756,27 @@ func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, prior *unionfin
 		out = ml.uf
 	}
 	return comp, out, st, nil
+}
+
+// LabelComponents is the canonical component labelling over n
+// sequences: union–find element k stands for sequence orig[k] (orig
+// ascending), and every such sequence is labelled with the smallest
+// member of its class — the first visit in ascending order; sequences
+// absent from orig are labelled -1.
+func LabelComponents(uf *unionfind.UF, orig []int, n int) []int32 {
+	comp := make([]int32, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	rootLabel := make(map[int]int32)
+	for k, id := range orig {
+		r := uf.Find(k)
+		if _, ok := rootLabel[r]; !ok {
+			rootLabel[r] = int32(id)
+		}
+		comp[id] = rootLabel[r]
+	}
+	return comp
 }
 
 // broadcastStats shares the master's stats with all ranks.

@@ -183,6 +183,20 @@ type Stats struct {
 	PhaseTime      float64
 }
 
+// Add sums two phases' counters field by field; PhaseTime is left as
+// s's, since phases summed across shards overlap in time.
+func (s Stats) Add(o Stats) Stats {
+	s.PairsRaw += o.PairsRaw
+	s.PairsGenerated += o.PairsGenerated
+	s.PairsDuplicate += o.PairsDuplicate
+	s.PairsClosure += o.PairsClosure
+	s.PairsAligned += o.PairsAligned
+	s.PairsPositive += o.PairsPositive
+	s.Cells += o.Cells
+	s.Rounds += o.Rounds
+	return s
+}
+
 func (s Stats) String() string {
 	return fmt.Sprintf("pairs: %d generated, %d dup, %d closure-skipped, %d aligned (%d positive); cells=%d rounds=%d time=%.1fs",
 		s.PairsGenerated, s.PairsDuplicate, s.PairsClosure,

@@ -101,7 +101,7 @@ func TestServerIngestAndQuery(t *testing.T) {
 	for id := 0; id < set.Len(); id++ {
 		names[id], seqs[id] = set.Get(id).Name, string(set.Get(id).Res)
 	}
-	cold, err := profam.Run(names, seqs, profam.Config{})
+	cold, err := profam.RunParallel(1, names, seqs, profam.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

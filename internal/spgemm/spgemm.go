@@ -60,17 +60,6 @@ type Options struct {
 	// BlockNNZ bounds the postings gathered into one accumulator block
 	// (default 4096). A block always contains at least one full row.
 	BlockNNZ int
-	// MinShared is the count of left-maximal shared k-mers a pair must
-	// reach within one block to be emitted (default 1). Values above 1
-	// trade recall for pair volume and break suffix-tree equivalence;
-	// the count is per block, not global, so a pair spread thinly
-	// across blocks may be suppressed entirely.
-	MinShared int
-	// MaxRowOcc caps the distinct sequences a single k-mer row may
-	// touch; rows above the cap (low-complexity repeats) count their
-	// raw pairs but contribute nothing to the accumulator. 0 disables
-	// the cap, preserving suffix-tree equivalence.
-	MaxRowOcc int
 	// NewFrom > 0 is the incremental-epoch filter: pairs whose
 	// sequences both predate it are counted under Prior and skipped at
 	// expansion.
@@ -96,15 +85,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.BlockNNZ < 1 {
 		return o, fmt.Errorf("spgemm: BlockNNZ must be >= 1, got %d", o.BlockNNZ)
 	}
-	if o.MinShared == 0 {
-		o.MinShared = 1
-	}
-	if o.MinShared < 1 {
-		return o, fmt.Errorf("spgemm: MinShared must be >= 1, got %d", o.MinShared)
-	}
-	if o.MaxRowOcc < 0 {
-		return o, fmt.Errorf("spgemm: MaxRowOcc must be >= 0, got %d", o.MaxRowOcc)
-	}
 	return o, nil
 }
 
@@ -123,16 +103,15 @@ type Hooks struct {
 	OnBlock func(entries int)
 }
 
-// Stats are the multiply's running totals. Raw, Prior, Blocks and
-// CappedRows are per-row arithmetic, invariant under bucket
-// partitioning; AccumPeak and PeakBytes are per-rank high-water marks.
+// Stats are the multiply's running totals. Raw, Prior and Blocks are
+// per-row arithmetic, invariant under bucket partitioning; AccumPeak and
+// PeakBytes are per-rank high-water marks.
 type Stats struct {
-	Raw        int64 // distinct-sequence pairs over all rows, before dedup
-	Prior      int64 // raw pairs suppressed by the NewFrom epoch filter
-	Blocks     int64 // accumulator blocks flushed
-	CappedRows int64 // rows dropped by MaxRowOcc
-	AccumPeak  int   // high-water distinct entries in one accumulator block
-	PeakBytes  int64 // largest single CSR block footprint
+	Raw       int64 // distinct-sequence pairs over all rows, before dedup
+	Prior     int64 // raw pairs suppressed by the NewFrom epoch filter
+	Blocks    int64 // accumulator blocks flushed
+	AccumPeak int   // high-water distinct entries in one accumulator block
+	PeakBytes int64 // largest single CSR block footprint
 }
 
 // csr is one bucket's slice of the k-mer × sequence matrix: postings
@@ -151,13 +130,11 @@ func (m *csr) footprint() int64 {
 	return int64(len(m.postings))*8 + int64(len(m.rowStart))*4
 }
 
-// accEnt is one accumulator entry: a candidate pair, the seed
-// coordinates of the first shared k-mer that created it, and how many
-// distinct k-mer rows of the current block the pair shares.
+// accEnt is one accumulator entry: a candidate pair and the seed
+// coordinates of the first shared k-mer that created it.
 type accEnt struct {
 	a, b       int32
 	offA, offB int32
-	count      int32
 }
 
 // Source streams candidate pairs from the blocked multiply over the
@@ -178,7 +155,6 @@ type Source struct {
 	pos int
 
 	ents []accEnt
-	idx  map[int64]int32
 	dseq []suffixtree.Suffix // per-row distinct-sequence scratch
 
 	st Stats
@@ -200,7 +176,6 @@ func NewSource(set *seq.Set, buckets []suffixtree.Bucket, own []int, opt Options
 		opt:     opt,
 		hooks:   hooks,
 		seen:    make(map[int64]bool),
-		idx:     make(map[int64]int32),
 	}, nil
 }
 
@@ -257,12 +232,13 @@ func (s *Source) buildBucket(b suffixtree.Bucket) {
 // expandRow feeds one k-mer row's distinct-sequence occurrence list
 // into the accumulator. Counting is arithmetic over the distinct count
 // so Raw/Prior are partition-invariant; only the accumulator inserts
-// depend on the seen/dedup state. A pair is inserted only when its two
-// representative occurrences are left-maximal. No pair is lost: if they
-// are not, the k-mer one residue to the left is shared too, at offsets
-// at least one lower in both sequences, so descending row by row ends
-// at a left-maximal pair or at a sequence start — in whichever rank's
-// bucket that row lies.
+// depend on the seen/dedup state, which a pair enters on its first
+// insert so the source emits it at most once. A pair is inserted only
+// when its two representative occurrences are left-maximal. No pair is
+// lost: if they are not, the k-mer one residue to the left is shared
+// too, at offsets at least one lower in both sequences, so descending
+// row by row ends at a left-maximal pair or at a sequence start — in
+// whichever rank's bucket that row lies.
 func (s *Source) expandRow(r int) {
 	p := s.cur.postings[s.cur.rowStart[r]:s.cur.rowStart[r+1]]
 	// Postings within a row are sorted by (sequence, offset): compress
@@ -287,10 +263,6 @@ func (s *Source) expandRow(r int) {
 		firstNew = sort.Search(n, func(i int) bool { return d[i].Seq >= s.opt.NewFrom })
 		s.st.Prior += int64(firstNew) * int64(firstNew-1) / 2
 	}
-	if s.opt.MaxRowOcc > 0 && n > s.opt.MaxRowOcc {
-		s.st.CappedRows++
-		return
-	}
 	for i := 0; i < n; i++ {
 		jStart := i + 1
 		if i < firstNew && jStart < firstNew {
@@ -304,15 +276,10 @@ func (s *Source) expandRow(r int) {
 			if s.seen[key] {
 				continue
 			}
-			if ei, ok := s.idx[key]; ok {
-				s.ents[ei].count++
-				continue
-			}
-			s.idx[key] = int32(len(s.ents))
+			s.seen[key] = true
 			s.ents = append(s.ents, accEnt{
 				a: d[i].Seq, b: d[j].Seq,
 				offA: d[i].Off, offB: d[j].Off,
-				count: 1,
 			})
 		}
 	}
@@ -348,7 +315,7 @@ func (s *Source) extend(a, b, offA, offB int32) (int32, int32, int32) {
 
 // processBlock gathers rows into one accumulator block (bounded by
 // BlockNNZ postings, always at least one row), then flushes the
-// surviving entries into buf in descending seed-length order.
+// entries into buf in descending seed-length order.
 func (s *Source) processBlock() {
 	nnz := 0
 	rows := s.cur.rows()
@@ -367,10 +334,6 @@ func (s *Source) processBlock() {
 	blockStart := len(s.buf)
 	for i := range s.ents {
 		e := &s.ents[i]
-		if int(e.count) < s.opt.MinShared {
-			continue
-		}
-		s.seen[pairKey(e.a, e.b)] = true
 		offA, offB, ln := s.extend(e.a, e.b, e.offA, e.offB)
 		s.buf = append(s.buf, suffixtree.Pair{
 			SeqA: e.a, OffA: offA,
@@ -384,7 +347,6 @@ func (s *Source) processBlock() {
 	if s.hooks.OnBlock != nil {
 		s.hooks.OnBlock(len(s.ents))
 	}
-	clear(s.idx)
 	s.ents = s.ents[:0]
 }
 
@@ -427,17 +389,32 @@ func (s *Source) Next(max int) ([]suffixtree.Pair, bool) {
 	return out, exhausted
 }
 
+// Drain streams the multiply over the owned buckets to exhaustion and
+// calls fn on every emitted pair — each sequence pair at most once, in
+// Next's order. It is the one loop behind
+// every consumer that takes the whole pair set at once rather than a
+// paced stream: bipartite edge discovery, the sharded boundary pass and
+// the pair-generation benchmark.
+func Drain(set *seq.Set, buckets []suffixtree.Bucket, own []int, opt Options, hooks Hooks, fn func(suffixtree.Pair)) error {
+	s, err := NewSource(set, buckets, own, opt, hooks)
+	if err != nil {
+		return err
+	}
+	for s.advance() {
+		for _, p := range s.buf {
+			fn(p)
+		}
+	}
+	return nil
+}
+
 // IndexPeakBytes measures the source's peak resident index footprint
 // over the given buckets without running the multiply: each CSR block
 // is built and discarded in turn, exactly as a streaming run would hold
 // them. It is the sparse side of the benchjson sparse_peak_bytes_ratio
 // scalar.
 func IndexPeakBytes(set *seq.Set, buckets []suffixtree.Bucket, opt Options) (int64, error) {
-	own := make([]int, len(buckets))
-	for i := range own {
-		own[i] = i
-	}
-	s, err := NewSource(set, buckets, own, opt, Hooks{})
+	s, err := NewSource(set, buckets, suffixtree.AssignBuckets(buckets, 1)[0], opt, Hooks{})
 	if err != nil {
 		return 0, err
 	}

@@ -291,44 +291,6 @@ func TestNewFromFilter(t *testing.T) {
 	}
 }
 
-// TestMaxRowOcc: capping high-occupancy rows drops pairs but never
-// invents them, and the cap is counted.
-func TestMaxRowOcc(t *testing.T) {
-	set := seq.NewSet()
-	// Every sequence shares one low-complexity run plus a unique tail.
-	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 12; i++ {
-		set.MustAdd("", "AAAAAAAAAA"+randResidues(rng, 30))
-	}
-	ref := pairSet(drain(t, newTestSource(t, set, Options{K: 6, PrefixLen: 2})))
-	capped := newTestSource(t, set, Options{K: 6, PrefixLen: 2, MaxRowOcc: 4})
-	got := pairSet(drain(t, capped))
-	if capped.Stats().CappedRows == 0 {
-		t.Fatal("expected capped rows on the poly-A corpus")
-	}
-	for key := range got {
-		if !ref[key] {
-			t.Fatalf("capped run invented pair %d", key)
-		}
-	}
-}
-
-// TestMinShared: requiring more shared k-mers per block only shrinks
-// the candidate set.
-func TestMinShared(t *testing.T) {
-	set := randomSet(t, 40, 29)
-	ref := pairSet(drain(t, newTestSource(t, set, Options{K: 6, PrefixLen: 2})))
-	got := pairSet(drain(t, newTestSource(t, set, Options{K: 6, PrefixLen: 2, MinShared: 3})))
-	if len(got) >= len(ref) {
-		t.Fatalf("MinShared=3 did not shrink the set: %d vs %d", len(got), len(ref))
-	}
-	for key := range got {
-		if !ref[key] {
-			t.Fatalf("MinShared run invented pair %d", key)
-		}
-	}
-}
-
 func TestIndexPeakBytes(t *testing.T) {
 	set := randomSet(t, 50, 31)
 	buckets, err := suffixtree.Buckets(set, suffixtree.Options{MinMatch: 6, PrefixLen: 2})
@@ -368,8 +330,6 @@ func TestOptionValidation(t *testing.T) {
 		{K: 0},
 		{K: 4, PrefixLen: 5},
 		{K: 4, BlockNNZ: -1},
-		{K: 4, MinShared: -2},
-		{K: 4, MaxRowOcc: -1},
 	} {
 		if _, err := NewSource(set, buckets, nil, opt, Hooks{}); err == nil {
 			t.Fatalf("options %+v accepted", opt)

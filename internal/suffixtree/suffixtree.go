@@ -17,10 +17,10 @@
 // whose string depth is the match length.
 //
 // In the pipeline, Buckets and AssignBuckets partition the promising-pair
-// work of phases 1 and 2 across ranks, whose pairs come from the sparse
-// multiply in internal/spgemm; trees index each bipartite-graph
-// component, and MergedPairs is the oracle the spgemm pair set is tested
-// against.
+// work across ranks, and every pair comes from the sparse multiply in
+// internal/spgemm over those buckets. The trees themselves (Build,
+// BuildBucket, MergedPairs) are the oracle the spgemm pair set is tested
+// against and the index of the GST baselines in internal/experiments.
 package suffixtree
 
 import (
@@ -398,8 +398,8 @@ func (t *SubTree) CountPairs() int64 {
 	return n
 }
 
-// Build constructs subtrees for all buckets serially — the path BGG's
-// per-component index and the pair-set test oracle use.
+// Build constructs subtrees for all buckets serially — the pair-set test
+// oracle and the GST baselines use it.
 func Build(set *seq.Set, opt Options) ([]*SubTree, error) {
 	buckets, err := Buckets(set, opt)
 	if err != nil {

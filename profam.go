@@ -28,15 +28,17 @@
 // Each concern has this one implementation; there are no switches
 // between alternatives.
 //
-// Entry points: Run (serial), RunParallel (goroutine ranks over in-memory
-// message passing), and RunSimulated (deterministic virtual-time
-// simulation of a distributed-memory machine, for scaling studies on a
-// single host).
+// Entry points: RunParallel runs name/sequence strings on p goroutine
+// ranks over in-memory message passing (p = 1 is serial); RunSet runs a
+// parsed seq.Set either that way or on p ranks of a deterministic
+// virtual-time simulation of a distributed-memory machine, for scaling
+// studies on a single host; RunPipelineOn runs collectively on a
+// caller-built communicator, such as a TCP mesh; RunEpoch clusters new
+// arrivals incrementally on top of a prior epoch's state.
 package profam
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"sort"
 
@@ -136,8 +138,8 @@ type Config struct {
 	// embarrassingly-parallel work out over (alignment batches,
 	// per-component phase 3+4 jobs) — the hybrid
 	// rank×thread execution model. 0 means auto: the wall-clock entry
-	// points (Run, RunFASTA, RunParallel, RunSet) resolve it to
-	// max(1, NumCPU/ranks), while RunSimulated keeps the paper's
+	// points (RunParallel, RunEpoch, RunSet unsimulated) resolve it to
+	// max(1, NumCPU/ranks), while a simulated RunSet keeps the paper's
 	// single-threaded nodes so virtual curves stay host-independent.
 	// RunPipelineOn treats 0 as 1; distributed callers choose their own
 	// budget. Results are byte-identical for every value; only execution
@@ -154,7 +156,7 @@ type Config struct {
 	// Logger receives structured progress records from the pipeline
 	// (rank-0 phase milestones at info level, per-round master detail at
 	// debug level), stamped with the rank clock — virtual seconds under
-	// RunSimulated. nil discards.
+	// a simulated RunSet. nil discards.
 	Logger *slog.Logger
 
 	// Abort, when non-nil, lets the caller cancel a running job: the
@@ -308,7 +310,7 @@ type PhaseStats struct {
 	PairsAligned   int64
 	PairsPositive  int64
 	Cells          int64
-	Time           float64 // seconds (virtual under RunSimulated)
+	Time           float64 // seconds (virtual under a simulated RunSet)
 }
 
 // WorkReduction is the fraction of generated promising pairs that never
@@ -355,7 +357,7 @@ type Result struct {
 	// Metrics is the job-wide observability report: every counter, gauge,
 	// histogram and phase span from all ranks, merged (counters summed,
 	// gauges maxed, histograms merged, spans folded per phase). Identical
-	// on every rank. Times are virtual seconds under RunSimulated and
+	// on every rank. Times are virtual seconds under a simulated RunSet and
 	// wall-clock seconds otherwise; Metrics.Canonical() strips the
 	// clock-derived fields, leaving the thread-count-independent part.
 	Metrics *metrics.Report
@@ -434,7 +436,12 @@ func (r *Result) FamilyLabels() []int {
 
 // --- input helpers ------------------------------------------------------
 
+// setFromStrings builds the input set; names may be nil, and empty names
+// default to seq<index>.
 func setFromStrings(names, seqs []string) (*seq.Set, error) {
+	if names == nil {
+		names = make([]string, len(seqs))
+	}
 	if len(names) != len(seqs) {
 		return nil, fmt.Errorf("profam: %d names but %d sequences", len(names), len(seqs))
 	}
@@ -453,80 +460,18 @@ func setFromStrings(names, seqs []string) (*seq.Set, error) {
 
 // --- entry points ---------------------------------------------------------
 
-// Run executes the whole pipeline serially on the given sequences.
-// names may be nil (sequences are then named seq0, seq1, …).
-func Run(names, seqs []string, cfg Config) (*Result, error) {
-	if names == nil {
-		names = make([]string, len(seqs))
-	}
-	set, err := setFromStrings(names, seqs)
-	if err != nil {
-		return nil, err
-	}
-	return runSet(set, cfg)
-}
-
-// RunFASTA executes the pipeline serially on FASTA input.
-func RunFASTA(r io.Reader, cfg Config) (*Result, error) {
-	set, err := seq.ReadFASTA(r)
-	if err != nil {
-		return nil, err
-	}
-	return runSet(set, cfg)
-}
-
-func runSet(set *seq.Set, cfg Config) (*Result, error) {
-	cfg = cfg.withAutoThreads(1)
-	var res *Result
-	var rerr error
-	err := mpi.Run(1, func(c *mpi.Comm) {
-		res, rerr = runPipeline(c, set, cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, rerr
-}
-
 // RunParallel executes the pipeline on p concurrent ranks (goroutines
-// exchanging in-memory messages). Results are identical to Run up to the
-// documented ordering effects of dynamic work distribution.
+// exchanging in-memory messages; p = 1 is serial). names may be nil
+// (sequences are then named seq0, seq1, …). Results are identical to
+// the serial run up to the documented ordering effects of dynamic work
+// distribution.
 func RunParallel(p int, names, seqs []string, cfg Config) (*Result, error) {
-	if names == nil {
-		names = make([]string, len(seqs))
-	}
 	set, err := setFromStrings(names, seqs)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withAutoThreads(p)
-	var res *Result
-	var rerr error
-	err = mpi.Run(p, func(c *mpi.Comm) {
-		r, e := runPipeline(c, set, cfg)
-		if c.Rank() == 0 {
-			res, rerr = r, e
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, rerr
-}
-
-// RunSimulated executes the pipeline on p simulated ranks of a
-// distributed-memory machine with BlueGene/L-like communication costs and
-// returns the result together with the virtual makespan in seconds. This
-// is the engine behind the scaling experiments.
-func RunSimulated(p int, names, seqs []string, cfg Config) (*Result, float64, error) {
-	if names == nil {
-		names = make([]string, len(seqs))
-	}
-	set, err := setFromStrings(names, seqs)
-	if err != nil {
-		return nil, 0, err
-	}
-	return simulateSet(set, p, cfg)
+	res, _, err := RunSet(set, p, false, cfg)
+	return res, err
 }
 
 func simulateSet(set *seq.Set, p int, cfg Config) (*Result, float64, error) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"profam/internal/quality"
+	"profam/internal/seq"
 	"profam/internal/workload"
 )
 
@@ -27,7 +28,7 @@ func testSet(t *testing.T) ([]string, []string, *workload.Truth) {
 func TestRunEndToEnd(t *testing.T) {
 	names, seqs, truth := testSet(t)
 	cfg := Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3}
-	res, err := Run(names, seqs, cfg)
+	res, err := RunParallel(1, names, seqs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestRunEndToEnd(t *testing.T) {
 func TestRunParallelMatchesSerial(t *testing.T) {
 	names, seqs, _ := testSet(t)
 	cfg := Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3, BatchPairs: 256, BatchTasks: 64}
-	serial, err := Run(names, seqs, cfg)
+	serial, err := RunParallel(1, names, seqs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +122,15 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 func TestRunSimulatedScales(t *testing.T) {
 	names, seqs, _ := testSet(t)
 	cfg := Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3, BatchPairs: 512, BatchTasks: 64}
-	res4, t4, err := RunSimulated(4, names, seqs, cfg)
+	set, err := setFromStrings(names, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res16, t16, err := RunSimulated(16, names, seqs, cfg)
+	res4, t4, err := RunSet(set, 4, true, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res16, t16, err := RunSet(set, 16, true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +147,11 @@ func TestRunSimulatedScales(t *testing.T) {
 
 func TestRunFASTA(t *testing.T) {
 	fasta := ">a\nMKWVTFISLLFLFSSAYSRGVFRR\n>b\nMKWVTFISLLFLFSSAYSRGVFRR\n>c\nPPPPGGGGYYYYHHHHKKKK\n"
-	res, err := RunFASTA(strings.NewReader(fasta), Config{Psi: 6, MinComponentSize: 2, MinFamilySize: 2})
+	set, err := seq.ReadFASTA(strings.NewReader(fasta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := RunSet(set, 1, false, Config{Psi: 6, MinComponentSize: 2, MinFamilySize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +165,10 @@ func TestRunFASTA(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run([]string{"a"}, []string{"SEQ", "SEQ2"}, Config{}); err == nil {
+	if _, err := RunParallel(1, []string{"a"}, []string{"SEQ", "SEQ2"}, Config{}); err == nil {
 		t.Error("mismatched names/seqs accepted")
 	}
-	if _, err := Run(nil, []string{"NOT VALID!"}, Config{}); err == nil {
+	if _, err := RunParallel(1, nil, []string{"NOT VALID!"}, Config{}); err == nil {
 		t.Error("invalid residues accepted")
 	}
 }
@@ -181,7 +190,7 @@ func TestDomainBasedReduction(t *testing.T) {
 		OverlapSimilarity: 0.2, OverlapCoverage: 0.2,
 		MinComponentSize: 3, MinFamilySize: 3,
 	}
-	res, err := Run(names, seqs, cfg)
+	res, err := RunParallel(1, names, seqs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

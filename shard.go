@@ -1,7 +1,6 @@
 package profam
 
 import (
-	"bytes"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -12,6 +11,8 @@ import (
 	"profam/internal/mpi"
 	"profam/internal/pace"
 	"profam/internal/seq"
+	"profam/internal/spgemm"
+	"profam/internal/suffixtree"
 	"profam/internal/trace"
 	"profam/internal/unionfind"
 )
@@ -26,14 +27,14 @@ import (
 //     permutation family, folded by LSH banding into band buckets.
 //     Sequences colliding in any band cluster together and whole clusters
 //     are placed greedily on shards (rank 0 places, broadcasts the
-//     assignment). The ψ-mer postings are exchanged all-to-all by hash
-//     partition — no rank ever holds the full posting table.
-//  2. Boundary candidates (world comm, hash-partitioned): each rank owns
-//     the ψ-mer hash classes equal to its rank mod p and enumerates the
-//     cross-shard pairs sharing a ψ-mer there, extending one shared
-//     occurrence to a maximal match as the cascade seed. Any promising
-//     pair (maximal match ≥ ψ) shares a ψ-mer, so cross-shard candidate
-//     recall is exact — LSH banding only decides placement, never recall.
+//     assignment).
+//  2. Boundary candidates (world comm, bucket-partitioned): each rank
+//     drains the sparse pair multiply of internal/spgemm — the generator
+//     of every promising pair in the pipeline — over the suffix buckets
+//     suffixtree.AssignBuckets gives it, and keeps the pairs whose sides
+//     sit on different shards. The buckets cover every maximal match
+//     ≥ ψ, so cross-shard candidate recall is exact — LSH banding only
+//     decides placement, never recall.
 //  3. Per-shard RR, then CCD (rank groups): group g = ranks ≡ g (mod G)
 //     serves shards ≡ g (mod G) sequentially, each shard an unchanged
 //     master–worker phase over the shard's subset.
@@ -53,24 +54,9 @@ type shardSig struct {
 // WireSize implements mpi.Sized.
 func (s shardSig) WireSize() int { return 24 + 4*len(s.Seqs) + 8*len(s.Bands) }
 
-// shardPost is one slice of the ψ-mer posting table in the all-to-all
-// hash-partition exchange: parallel (sequence, offset, hash) triples.
-type shardPost struct {
-	Seq  []int32
-	Off  []int32
-	Hash []uint64
-}
-
-// WireSize implements mpi.Sized.
-func (s shardPost) WireSize() int { return 32 + 4*(len(s.Seq)+len(s.Off)) + 8*len(s.Hash) }
-
-// tagShardPost carries the posting-partition exchange, tagShardCtl the
-// leader hops of tree broadcasts; both distinct from the master–worker
-// tags so a stray phase message can never match them.
-const (
-	tagShardPost = 13
-	tagShardCtl  = 14
-)
+// tagShardCtl carries the leader hops of tree broadcasts, distinct from
+// the master–worker tags so a stray phase message can never match it.
+const tagShardCtl = 14
 
 // treeBcast broadcasts rank 0's data in two hops: world sends to the G
 // group leaders (parent ranks 1..G-1; leader g is sub rank 0 of group g
@@ -114,43 +100,47 @@ type shardEdges struct {
 func (e shardEdges) WireSize() int { return 96 + 4*(len(e.From)+len(e.To)) }
 
 // shardVerdicts is one rank's boundary-pass result: the positive
-// outcomes of its candidate stripe plus the counts feeding the stats.
+// outcomes of its candidate share plus the stats they add to the phase.
 type shardVerdicts struct {
 	Results []pace.AlignOutcome
-	Raw     int64 // candidates enumerated before dedup/filtering
-	Tasks   int64 // candidates aligned after the static filter
-	Cells   int64
+	Stats   pace.Stats
 }
 
 // WireSize implements mpi.Sized.
-func (v shardVerdicts) WireSize() int { return 40 + 29*len(v.Results) }
+func (v shardVerdicts) WireSize() int { return 96 + 29*len(v.Results) }
+
+// boundaryVerdicts folds one rank's boundary alignments into its
+// verdicts: every task was generated and aligned, and raw counts the
+// candidates it drew them from.
+func boundaryVerdicts(out []pace.AlignOutcome, raw int64) shardVerdicts {
+	v := shardVerdicts{Stats: pace.Stats{
+		PairsRaw:       raw,
+		PairsGenerated: int64(len(out)),
+		PairsAligned:   int64(len(out)),
+	}}
+	for _, o := range out {
+		v.Stats.Cells += o.Cells
+		if o.OK {
+			v.Results = append(v.Results, o)
+		}
+	}
+	v.Stats.PairsPositive = int64(len(v.Results))
+	return v
+}
 
 func registerShardWireTypes() {
 	mpi.RegisterType(shardSig{})
-	mpi.RegisterType(shardPost{})
 	mpi.RegisterType(shardMask{})
 	mpi.RegisterType(shardEdges{})
 	mpi.RegisterType(shardVerdicts{})
-}
-
-func addStats(a, b pace.Stats) pace.Stats {
-	a.PairsRaw += b.PairsRaw
-	a.PairsGenerated += b.PairsGenerated
-	a.PairsDuplicate += b.PairsDuplicate
-	a.PairsClosure += b.PairsClosure
-	a.PairsAligned += b.PairsAligned
-	a.PairsPositive += b.PairsPositive
-	a.Cells += b.Cells
-	a.Rounds += b.Rounds
-	return a
 }
 
 // shardLabel formats the per-shard metric label value.
 func shardLabel(s int) string { return strconv.Itoa(s) }
 
 // shardAssignments runs the signature phase: striped MinHash + banding,
-// a gather/broadcast so every rank holds every sequence's band buckets
-// and the full posting table, then the deterministic placement. Two
+// a gather of every sequence's band buckets on rank 0, the deterministic
+// placement there, and a broadcast of the result. Two
 // sequences sharing any band bucket must cluster together (classic LSH
 // candidate grouping, closed transitively with a union–find), and whole
 // clusters are placed greedily — largest first onto the least-loaded
@@ -158,56 +148,30 @@ func shardLabel(s int) string { return strconv.Itoa(s) }
 // sizes stay balanced. Placement is a pure function of the corpus and
 // the shard knobs: the bucket walk, cluster order and tie-breaks are all
 // over ascending sequence IDs, never map iteration order.
-func shardAssignments(c, sub *mpi.Comm, G int, set *seq.Set, cfg Config, costs pace.CostParams, reg *metrics.Registry) (primary []int32, posts shardPost) {
+func shardAssignments(c, sub *mpi.Comm, G int, set *seq.Set, cfg Config, costs pace.CostParams, reg *metrics.Registry) []int32 {
 	n, p := set.Len(), c.Size()
 	B := cfg.ShardBands
 	fam := minhash.NewFamilyFixed(B*cfg.ShardRows, uint64(cfg.ShardSeed))
 	var my shardSig
-	parts := make([]shardPost, p)
 	var sig, bkt []uint64
 	var sigChars, sigOps int64
 	for i := c.Rank(); i < n; i += p {
 		res := set.Get(i).Res
-		ps := minhash.KmerPostings(res, cfg.Psi)
+		hs := minhash.KmerHashes(res, cfg.Psi)
 		sigChars += int64(len(res)) * int64(cfg.Psi)
-		sigOps += int64(len(ps)) * int64(len(fam.Perms))
-		sig = fam.Signature(ps, sig)
+		sigOps += int64(len(hs)) * int64(len(fam.Perms))
+		sig = fam.Signature(hs, sig)
 		bkt = minhash.BandBuckets(sig, B, cfg.ShardRows, bkt)
 		my.Seqs = append(my.Seqs, int32(i))
 		my.Bands = append(my.Bands, bkt...)
-		for _, po := range ps {
-			d := &parts[po.Hash%uint64(p)]
-			d.Seq = append(d.Seq, int32(i))
-			d.Off = append(d.Off, po.Off)
-			d.Hash = append(d.Hash, po.Hash)
-		}
 	}
 	// Hashing cost mirrors the index char calibration; permutation
 	// evaluations are priced like the dense-subgraph phase's min-hash ops.
 	c.Advance(float64(sigChars)*costs.SecPerTreeChar + float64(sigOps)*secPerShingleOp)
 
-	// All-to-all: rank r keeps only the hash classes ≡ r (mod p), so the
-	// posting table is partitioned, never replicated. Sends complete
-	// asynchronously on every transport; receives match per sender.
-	posts = parts[c.Rank()]
-	for d := 0; d < p; d++ {
-		if d != c.Rank() {
-			c.Send(d, tagShardPost, parts[d])
-		}
-	}
-	for s := 0; s < p; s++ {
-		if s == c.Rank() {
-			continue
-		}
-		g := c.Recv(s, tagShardPost).Data.(shardPost)
-		posts.Seq = append(posts.Seq, g.Seq...)
-		posts.Off = append(posts.Off, g.Off...)
-		posts.Hash = append(posts.Hash, g.Hash...)
-	}
-
 	// Rank 0 clusters and places; everyone else just learns the result.
 	gathered := c.Gather(0, my)
-	primary = make([]int32, n)
+	primary := make([]int32, n)
 	if c.Rank() == 0 {
 		bands := make([]uint64, n*B)
 		for _, g := range gathered {
@@ -234,8 +198,7 @@ func shardAssignments(c, sub *mpi.Comm, G int, set *seq.Set, cfg Config, costs p
 			reg.Gauge("pace_shard_imbalance").Set(float64(maxSz) / mean)
 		}
 	}
-	primary = treeBcast(c, sub, G, primary).([]int32)
-	return primary, posts
+	return treeBcast(c, sub, G, primary).([]int32)
 }
 
 // placeShards writes the shard assignment into primary: sequences
@@ -300,86 +263,32 @@ func placeShards(bands []uint64, n, B, shards int, primary []int32) {
 	}
 }
 
-// boundaryCandidates enumerates this rank's stripe of cross-shard
-// promising pairs: ψ-mer hash classes with hash ≡ rank (mod p), every
-// cross-primary pair inside a class deduplicated and seeded with the
-// maximal extension of the shared occurrence (byte-verified, so hash
-// collisions cannot seed a bogus pair). The same pair discovered under
-// two ψ-mers in different hash classes may be emitted by two ranks;
-// verdicts are deterministic, so the downstream merge absorbs duplicates.
-func boundaryCandidates(c *mpi.Comm, set *seq.Set, primary []int32, posts shardPost, cfg Config, costs pace.CostParams, reg *metrics.Registry) ([]pace.PairItem, int64) {
-	type post struct {
-		hash uint64
-		seq  int32
-		off  int32
+// boundaryCandidates is this rank's share of the cross-shard promising
+// pairs: the sparse multiply drained over the buckets
+// suffixtree.AssignBuckets gives the rank, keeping the pairs whose sides
+// sit on different shards. The multiply emits each pair once per rank;
+// a pair whose maximal matches fall in buckets of two ranks reaches both,
+// and since verdicts are deterministic the downstream merge absorbs the
+// duplicate.
+func boundaryCandidates(c *mpi.Comm, set *seq.Set, primary []int32, psi int, costs pace.CostParams) ([]pace.PairItem, error) {
+	buckets, err := suffixtree.Buckets(set, suffixtree.Options{MinMatch: psi})
+	if err != nil {
+		return nil, err
 	}
-	mine := make([]post, len(posts.Hash))
-	for k, h := range posts.Hash {
-		mine[k] = post{hash: h, seq: posts.Seq[k], off: posts.Off[k]}
-	}
-	sort.Slice(mine, func(i, j int) bool {
-		if mine[i].hash != mine[j].hash {
-			return mine[i].hash < mine[j].hash
-		}
-		if mine[i].seq != mine[j].seq {
-			return mine[i].seq < mine[j].seq
-		}
-		return mine[i].off < mine[j].off
-	})
-	psi := cfg.Psi
-	seen := make(map[int64]bool)
+	// Bucket builds are priced per posting at comparison width ψ, as in
+	// the per-shard phases; generation per cross-shard pair kept.
+	hooks := spgemm.Hooks{OnBucket: func(postings, _ int, _ int64) {
+		c.Advance(float64(postings) * float64(psi) * costs.SecPerTreeChar)
+	}}
 	var out []pace.PairItem
-	var raw, scanChars int64
-	for lo := 0; lo < len(mine); {
-		hi := lo + 1
-		for hi < len(mine) && mine[hi].hash == mine[lo].hash {
-			hi++
-		}
-		for x := lo; x < hi; x++ {
-			for y := x + 1; y < hi; y++ {
-				a, b := mine[x], mine[y]
-				if a.seq == b.seq || primary[a.seq] == primary[b.seq] {
-					continue
-				}
-				raw++
-				if a.seq > b.seq {
-					a, b = b, a
-				}
-				key := int64(a.seq)<<32 | int64(uint32(b.seq))
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				ra, rb := set.Get(int(a.seq)).Res, set.Get(int(b.seq)).Res
-				oa, ob := int(a.off), int(b.off)
-				if !bytes.Equal(ra[oa:oa+psi], rb[ob:ob+psi]) {
-					continue // 64-bit hash collision
-				}
-				ext := 0
-				for oa-ext-1 >= 0 && ob-ext-1 >= 0 && ra[oa-ext-1] == rb[ob-ext-1] {
-					ext++
-				}
-				length := psi
-				for oa+length < len(ra) && ob+length < len(rb) && ra[oa+length] == rb[ob+length] {
-					length++
-				}
-				scanChars += int64(ext + length)
-				out = append(out, pace.PairItem{
-					A: a.seq, B: b.seq,
-					OffA: int32(oa - ext), OffB: int32(ob - ext),
-					Len: int32(length + ext),
-				})
+	err = spgemm.Drain(set, buckets, suffixtree.AssignBuckets(buckets, c.Size())[c.Rank()],
+		spgemm.Options{K: psi}, hooks, func(p suffixtree.Pair) {
+			if primary[p.SeqA] != primary[p.SeqB] {
+				out = append(out, pace.PairItem{A: p.SeqA, B: p.SeqB, OffA: p.OffA, OffB: p.OffB, Len: p.Len})
 			}
-		}
-		lo = hi
-	}
-	// Partition sort priced per posting at comparison width ψ (the sparse
-	// backend's calibration); enumeration per raw pair; seed extension per
-	// residue compared.
-	c.Advance(float64(len(mine))*float64(psi)*costs.SecPerTreeChar +
-		float64(raw)*costs.SecPerPairGen + float64(scanChars)*costs.SecPerTreeChar)
-	reg.Counter("pace_shard_boundary_pairs").Add(int64(len(out)))
-	return out, raw
+		})
+	c.Advance(float64(len(out)) * costs.SecPerPairGen)
+	return out, err
 }
 
 // runShardedPhases executes phases 1+2 of the sharded pipeline and
@@ -412,12 +321,15 @@ func runShardedPhases(c *mpi.Comm, set *seq.Set, cfg Config, pcfg pace.Config, r
 	// Phase 0: signatures, shard assignment, boundary candidates.
 	tracer.Instant(trace.CatPipeline, "phase:shard_sig", "shards", int64(cfg.Shards), "", 0)
 	sigSpan := reg.StartSpan("shard/sig")
-	primary, posts := shardAssignments(c, sub, G, set, cfg, costs, reg)
+	primary := shardAssignments(c, sub, G, set, cfg, costs, reg)
 	sigSpan.End()
 	bndSpan := reg.StartSpan("shard/boundary_index")
-	candidates, rawBoundary := boundaryCandidates(c, set, primary, posts, cfg, costs, reg)
+	candidates, err := boundaryCandidates(c, set, primary, cfg.Psi, costs)
+	if err != nil {
+		return nil, nil, nil, rrStats, ccStats, err
+	}
+	reg.Counter("pace_shard_boundary_pairs").Add(int64(len(candidates)))
 	bndSpan.End()
-	posts = shardPost{} // release the posting partition
 
 	shardIDs := make([][]int, cfg.Shards)
 	for i := 0; i < n; i++ {
@@ -446,7 +358,7 @@ func runShardedPhases(c *mpi.Comm, set *seq.Set, cfg Config, pcfg pace.Config, r
 					myMask.Redundant = append(myMask.Redundant, int32(orig[j]))
 				}
 			}
-			myMask.Stats = addStats(myMask.Stats, st)
+			myMask.Stats = myMask.Stats.Add(st)
 			reg.Counter(metrics.Name("pace_shard_pairs", "shard", shardLabel(s))).Add(st.PairsGenerated)
 		}
 	}
@@ -458,7 +370,7 @@ func runShardedPhases(c *mpi.Comm, set *seq.Set, cfg Config, pcfg pace.Config, r
 			for _, id := range m.Redundant {
 				redundant[id] = true
 			}
-			rrStats = addStats(rrStats, m.Stats)
+			rrStats = rrStats.Add(m.Stats)
 		}
 	}
 	redundant = treeBcast(c, sub, G, redundant).([]bool)
@@ -475,24 +387,13 @@ func runShardedPhases(c *mpi.Comm, set *seq.Set, cfg Config, pcfg pace.Config, r
 	}
 	c.Advance(float64(len(candidates)) * costs.SecPerPairFilter)
 	rrOut := pace.AlignContainPairs(c, set, rrTasks, pcfg, "rr@boundary")
-	v := shardVerdicts{Raw: rawBoundary, Tasks: int64(len(rrTasks))}
-	for _, o := range rrOut {
-		v.Cells += o.Cells
-		if o.OK {
-			v.Results = append(v.Results, o)
-		}
-	}
-	gatheredV := c.Gather(0, v)
+	gatheredV := c.Gather(0, boundaryVerdicts(rrOut, int64(len(candidates))))
 	var demoted []int32
 	if c.Rank() == 0 {
 		var pos []pace.AlignOutcome
 		for _, g := range gatheredV {
 			gv := g.(shardVerdicts)
-			rrStats.PairsRaw += gv.Raw
-			rrStats.PairsGenerated += gv.Tasks
-			rrStats.PairsAligned += gv.Tasks
-			rrStats.PairsPositive += int64(len(gv.Results))
-			rrStats.Cells += gv.Cells
+			rrStats = rrStats.Add(gv.Stats)
 			pos = append(pos, gv.Results...)
 		}
 		sort.Slice(pos, func(i, j int) bool {
@@ -563,23 +464,33 @@ func runShardedPhases(c *mpi.Comm, set *seq.Set, cfg Config, pcfg pace.Config, r
 					myEdges.To = append(myEdges.To, l)
 				}
 			}
-			myEdges.Stats = addStats(myEdges.Stats, st)
+			myEdges.Stats = myEdges.Stats.Add(st)
 			reg.Counter(metrics.Name("pace_shard_pairs", "shard", shardLabel(s))).Add(st.PairsGenerated)
 		}
 	}
+	// Rank 0 folds the shards' partitions into one union–find over the
+	// kept subset, in the sub-ID space ConnectedComponentsFrom uses (kept
+	// IDs renumbered ascending), so it doubles as the commitable state.
 	gatheredE := c.Gather(0, myEdges)
-	var uf *unionfind.UF
-	interim := make([]int32, n)
+	var kept, subOf []int
+	var interim []int32
 	if c.Rank() == 0 {
-		uf = unionfind.New(n)
+		subOf = make([]int, n)
+		for i := 0; i < n; i++ {
+			if keep[i] {
+				subOf[i] = len(kept)
+				kept = append(kept, i)
+			}
+		}
+		ccUF = unionfind.New(len(kept))
 		for _, g := range gatheredE {
 			ge := g.(shardEdges)
 			for k := range ge.From {
-				uf.Union(int(ge.From[k]), int(ge.To[k]))
+				ccUF.Union(subOf[ge.From[k]], subOf[ge.To[k]])
 			}
-			ccStats = addStats(ccStats, ge.Stats)
+			ccStats = ccStats.Add(ge.Stats)
 		}
-		labelComponents(uf, keep, interim)
+		interim = pace.LabelComponents(ccUF, kept, n)
 	}
 	interim = treeBcast(c, sub, G, interim).([]int32)
 
@@ -594,48 +505,22 @@ func runShardedPhases(c *mpi.Comm, set *seq.Set, cfg Config, pcfg pace.Config, r
 	}
 	c.Advance(float64(len(candidates)) * costs.SecPerPairFilter)
 	ccOut := pace.AlignOverlapPairs(c, set, ccTasks, pcfg, "ccd@boundary")
-	vc := shardVerdicts{Raw: rawBoundary, Tasks: int64(len(ccTasks))}
-	for _, o := range ccOut {
-		vc.Cells += o.Cells
-		if o.OK {
-			vc.Results = append(vc.Results, o)
-		}
-	}
-	gatheredV = c.Gather(0, vc)
-	comp = make([]int32, n)
+	gatheredV = c.Gather(0, boundaryVerdicts(ccOut, 0))
 	if c.Rank() == 0 {
 		for _, g := range gatheredV {
 			gv := g.(shardVerdicts)
-			ccStats.PairsGenerated += gv.Tasks
-			ccStats.PairsAligned += gv.Tasks
-			ccStats.PairsPositive += int64(len(gv.Results))
-			ccStats.Cells += gv.Cells
+			ccStats = ccStats.Add(gv.Stats)
 			for _, o := range gv.Results {
-				uf.Union(int(o.A), int(o.B))
+				ccUF.Union(subOf[o.A], subOf[o.B])
 			}
 		}
-		labelComponents(uf, keep, comp)
+		comp = pace.LabelComponents(ccUF, kept, n)
 	}
 	comp = treeBcast(c, sub, G, comp).([]int32)
 	ccdSpan.End()
 	ccEnd := c.MaxFloat64(c.Time())
-
-	// Commitability: the kept-subset union–find, in the same sub-ID space
-	// ConnectedComponentsFrom uses (kept IDs renumbered ascending).
 	if c.Rank() == 0 {
 		ccStats.PhaseTime = ccEnd - ccStart
-		subOf := make(map[int]int, n)
-		var kept []int
-		for i := 0; i < n; i++ {
-			if keep[i] {
-				subOf[i] = len(kept)
-				kept = append(kept, i)
-			}
-		}
-		ccUF = unionfind.New(len(kept))
-		for _, i := range kept {
-			ccUF.Union(subOf[i], subOf[int(comp[i])])
-		}
 	}
 	rrStats = c.Bcast(0, rrStats).(pace.Stats)
 	ccStats = c.Bcast(0, ccStats).(pace.Stats)
@@ -654,25 +539,4 @@ func containerContained(o pace.AlignOutcome) (container, contained int32) {
 		return o.A, o.B
 	}
 	return o.B, o.A
-}
-
-// labelComponents writes the canonical component labeling of uf into
-// comp: every kept sequence gets the smallest kept member ID of its
-// component (the first visit in ascending order is the smallest), every
-// other sequence -1 — the exact labeling ConnectedComponentsFrom emits.
-func labelComponents(uf *unionfind.UF, keep []bool, comp []int32) {
-	for i := range comp {
-		comp[i] = -1
-	}
-	rootLabel := make(map[int]int32)
-	for i := range comp {
-		if !keep[i] {
-			continue
-		}
-		r := uf.Find(i)
-		if _, ok := rootLabel[r]; !ok {
-			rootLabel[r] = int32(i)
-		}
-		comp[i] = rootLabel[r]
-	}
 }

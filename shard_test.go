@@ -9,6 +9,7 @@ import (
 	"profam/internal/mpi"
 	"profam/internal/quality"
 	"profam/internal/seq"
+	"profam/internal/suffixtree"
 	"profam/internal/workload"
 )
 
@@ -54,6 +55,57 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBoundaryCandidatesExactRecall: the union over ranks of the
+// boundary pass's candidates is exactly the set of promising pairs —
+// the suffix-tree oracle's maximal-match pairs ≥ ψ — whose sides sit on
+// different shards, and no rank emits a pair twice (DESIGN.md §7f).
+func TestBoundaryCandidatesExactRecall(t *testing.T) {
+	profam.RegisterWireTypes()
+	set, _ := shardedSet()
+	cfg := profam.Config{Psi: 6, Shards: 4}
+	trees, err := suffixtree.Build(set, suffixtree.Options{MinMatch: cfg.Psi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 3} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			primary, perRank, err := profam.BoundaryCandidates(set, p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[[2]int32]bool{}
+			suffixtree.MergedPairs(trees, func(q suffixtree.Pair) bool {
+				if primary[q.SeqA] != primary[q.SeqB] {
+					want[[2]int32{q.SeqA, q.SeqB}] = true
+				}
+				return true
+			})
+			if len(want) == 0 {
+				t.Fatal("placement left no cross-shard promising pairs to check")
+			}
+			got := map[[2]int32]bool{}
+			for r, pairs := range perRank {
+				mine := map[[2]int32]bool{}
+				for _, pr := range pairs {
+					if mine[pr] {
+						t.Fatalf("rank %d emitted %v twice", r, pr)
+					}
+					mine[pr] = true
+					got[pr] = true
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("boundary candidates: %d pairs, oracle cross-shard pairs: %d", len(got), len(want))
+			}
+			for pr := range want {
+				if !got[pr] {
+					t.Fatalf("oracle cross-shard pair %v missing from the boundary candidates", pr)
+				}
+			}
+		})
 	}
 }
 
